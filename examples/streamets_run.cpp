@@ -265,11 +265,13 @@ int main(int argc, char** argv) {
   if (experiment->storage.enabled) {
     const StorageStats& storage = report->storage;
     std::printf("state store: hot=%llu B, spilled=%llu B "
-                "(spills=%llu loads=%llu evictions=%llu purged=%llu)\n",
+                "(spills=%llu loads=%llu slice_reads=%llu evictions=%llu "
+                "purged=%llu)\n",
                 static_cast<unsigned long long>(storage.hot_bytes),
                 static_cast<unsigned long long>(storage.spilled_bytes),
                 static_cast<unsigned long long>(storage.spills),
                 static_cast<unsigned long long>(storage.loads),
+                static_cast<unsigned long long>(storage.slice_reads),
                 static_cast<unsigned long long>(storage.evictions),
                 static_cast<unsigned long long>(storage.purged_blocks));
   }

@@ -20,18 +20,6 @@ namespace dsms {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t FnvMix(uint64_t hash, const void* data, size_t size) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
 /// Bucket index of `ts` under `granularity`, as a floor division so
 /// negative timestamps land in the bucket below zero, not astride it.
 int64_t BucketOf(Timestamp ts, Duration granularity) {
@@ -41,39 +29,6 @@ int64_t BucketOf(Timestamp ts, Duration granularity) {
 }
 
 }  // namespace
-
-uint64_t HashValue(const Value& value) {
-  uint64_t hash = kFnvOffset;
-  uint8_t tag = static_cast<uint8_t>(value.type());
-  hash = FnvMix(hash, &tag, 1);
-  switch (value.type()) {
-    case ValueType::kInt64: {
-      int64_t v = value.int64_value();
-      hash = FnvMix(hash, &v, sizeof(v));
-      break;
-    }
-    case ValueType::kDouble: {
-      // Bit pattern, so the hash is ==-consistent (distinct NaNs differ,
-      // but NaN != NaN anyway).
-      double d = value.double_value();
-      uint64_t bits;
-      memcpy(&bits, &d, sizeof(bits));
-      hash = FnvMix(hash, &bits, sizeof(bits));
-      break;
-    }
-    case ValueType::kString: {
-      const std::string& s = value.string_value();
-      hash = FnvMix(hash, s.data(), s.size());
-      break;
-    }
-    case ValueType::kBool: {
-      uint8_t b = value.bool_value() ? 1 : 0;
-      hash = FnvMix(hash, &b, 1);
-      break;
-    }
-  }
-  return hash;
-}
 
 uint64_t EstimateTupleBytes(const Tuple& tuple) {
   uint64_t bytes = sizeof(Tuple);
@@ -172,36 +127,51 @@ void StateTable::Probe(Timestamp lo, Timestamp hi, const Value* key,
   StateStore::Guard guard(store_);
   const bool keyed = key != nullptr && key_field_ >= 0;
   uint64_t key_hash = keyed ? HashValue(*key) : 0;
+  // Slice rows of spilled blocks, owned by this call rather than the store:
+  // a multi-way join's nested probes read further slices while pointers
+  // into this one are still live.
+  std::vector<BlockSliceRow> slice;
+  auto deliver_keyed = [&](const Block& block, uint32_t ordinal,
+                           const Tuple& stored) {
+    if (ordinal < block.expired_prefix) return;
+    Timestamp sts = stored.timestamp();
+    if (sts < lo || sts > hi) return;
+    if (!(stored.value(key_field_) == *key)) return;  // collision
+    ++index_hits_;
+    fn(stored);
+  };
   for (auto& block_ptr : blocks_) {
     Block& block = *block_ptr;
     if (block.nrows == 0) continue;
     // Time pruning on metadata only: disjoint blocks are skipped without
     // loading them — the point of partitioning state by time.
     if (block.max_ts < lo || block.min_ts > hi) continue;
-    const bool loaded_here = block.spilled;
-    EnsureResident(block);
     if (keyed) {
       ++index_probes_;
+      if (block.spilled) {
+        // Only the key's slice is read; the block stays on disk, so
+        // residency and eviction are untouched.
+        store_->ReadSlice(this, block, key_hash, &slice);
+        for (const BlockSliceRow& r : slice) {
+          deliver_keyed(block, r.ordinal, r.row);
+        }
+        continue;
+      }
       auto it = block.index.find(key_hash);
       if (it != block.index.end()) {
         for (uint32_t row : it->second) {
-          if (row < block.expired_prefix) continue;
-          const Tuple& stored = block.rows[row];
-          Timestamp sts = stored.timestamp();
-          if (sts < lo || sts > hi) continue;
-          if (!(stored.value(key_field_) == *key)) continue;  // collision
-          ++index_hits_;
-          fn(stored);
+          deliver_keyed(block, row, block.rows[row]);
         }
       }
-    } else {
-      for (uint32_t row = block.expired_prefix; row < block.rows.size();
-           ++row) {
-        const Tuple& stored = block.rows[row];
-        Timestamp sts = stored.timestamp();
-        if (sts < lo || sts > hi) continue;
-        fn(stored);
-      }
+      continue;
+    }
+    const bool loaded_here = block.spilled;
+    EnsureResident(block);
+    for (uint32_t row = block.expired_prefix; row < block.rows.size(); ++row) {
+      const Tuple& stored = block.rows[row];
+      Timestamp sts = stored.timestamp();
+      if (sts < lo || sts > hi) continue;
+      fn(stored);
     }
     // Evict-behind: a block this probe had to load back is done delivering
     // (every fn call above returned, so no caller holds pointers into it);
@@ -422,10 +392,27 @@ void StateStore::LoadBlock(StateTable* table, StateTable::Block& block) {
   table->hot_bytes_ += block.bytes;
   table->BuildIndex(block);
   ++loads_;
+  NoteBlockRead(table, block.id, block.nrows);
+}
+
+void StateStore::ReadSlice(StateTable* table, const StateTable::Block& block,
+                           uint64_t key_hash,
+                           std::vector<BlockSliceRow>* rows) {
+  DSMS_CHECK(block.spilled);
+  // Fail-stop, like a whole-block load.
+  DSMS_CHECK_OK(ReadBlockSlice(BlockFilePath(config_.spill_dir, block.id),
+                               table->key_field_, key_hash, rows));
+  ++slice_reads_;
+  NoteBlockRead(table, block.id, rows->size());
+}
+
+void StateStore::NoteBlockRead(StateTable* table, uint64_t block_id,
+                               size_t rows) {
   ChargeStallIfFaulted(table);
   if (table->owner_ != nullptr && table->owner_->tracer() != nullptr) {
-    table->owner_->tracer()->RecordStateLoad(
-        table->owner_->id(), static_cast<int64_t>(block.id), block.nrows);
+    table->owner_->tracer()->RecordStateLoad(table->owner_->id(),
+                                             static_cast<int64_t>(block_id),
+                                             static_cast<int64_t>(rows));
   }
 }
 
@@ -463,6 +450,7 @@ bool StateStore::EvictBlock(StateTable* caller, StateTable* table,
     file.min_ts = block.min_ts;
     file.max_ts = block.max_ts;
     file.rows = std::move(block.rows);
+    file.key_field = table->key_field_;
     DSMS_CHECK_OK(WriteBlockFile(config_.spill_dir, file));
     block.rows.clear();
     block.disk_valid = true;
@@ -628,6 +616,7 @@ StorageStats StateStore::stats() const {
   }
   s.spills = spills_;
   s.loads = loads_;
+  s.slice_reads = slice_reads_;
   s.evictions = evictions_;
   s.spill_failures = spill_failures_;
   s.shed_rows = shed_rows_;
@@ -648,6 +637,7 @@ void StorageStats::PublishTo(MetricsRegistry* registry,
                      static_cast<double>(blocks_spilled));
   registry->SetCounter(prefix + ".spills", spills);
   registry->SetCounter(prefix + ".loads", loads);
+  registry->SetCounter(prefix + ".slice_reads", slice_reads);
   registry->SetCounter(prefix + ".evictions", evictions);
   registry->SetCounter(prefix + ".spill_failures", spill_failures);
   registry->SetCounter(prefix + ".shed_rows", shed_rows);

@@ -17,6 +17,7 @@
 #include "core/stream_buffer.h"
 #include "core/tuple.h"
 #include "sim/fault_injector.h"
+#include "storage/block_file.h"
 
 namespace dsms {
 
@@ -54,7 +55,8 @@ struct StorageStats {
   uint64_t blocks_spilled = 0;
   // Counters (lifetime).
   uint64_t spills = 0;          // block files written
-  uint64_t loads = 0;           // block files read back
+  uint64_t loads = 0;           // whole block files read back
+  uint64_t slice_reads = 0;     // keyed reads of one slice of a spilled block
   uint64_t evictions = 0;       // blocks dropped from the hot tier
   uint64_t spill_failures = 0;  // disk_fail write failures absorbed
   uint64_t shed_rows = 0;       // rows dropped by kShedOldest on disk_fail
@@ -126,19 +128,24 @@ class StateTable {
 
   /// Invokes `fn` for every live row with timestamp in [lo, hi], in
   /// insertion order. With `key` non-null and a declared key field, only
-  /// rows whose key equals `*key` are delivered (via the per-block hash
-  /// indexes). Spilled blocks overlapping the band are loaded back first
-  /// (counted, traced, and stall-charged under an active disk_stall fault),
-  /// and — when the store is over budget — dropped again as soon as their
-  /// rows have been delivered (evict-behind: the file is still valid, so
-  /// the drop is free), keeping the peak residency of a band that spans the
-  /// whole window near the budget instead of the window size.
+  /// rows whose key equals `*key` are delivered: resident blocks answer
+  /// from their hash indexes, and a spilled block answers by reading only
+  /// the key's slice of its file into a buffer owned by this call (the
+  /// block stays spilled; counted as a slice read, traced, and
+  /// stall-charged once per block under an active disk_stall fault).
+  /// Unkeyed probes load overlapping spilled blocks back whole (counted,
+  /// traced, stall-charged), and — when the store is over budget — drop
+  /// them again as soon as their rows have been delivered (evict-behind:
+  /// the file is still valid, so the drop is free), keeping the peak
+  /// residency of a band that spans the whole window near the budget
+  /// instead of the window size.
   /// Row lifetime: a delivered row stays valid for the duration of the
   /// `fn` callback, including nested probes on sibling tables (multi-way
   /// join) — eviction never touches the block currently being delivered or
   /// any block another in-flight probe is pointing at (blocks already
   /// resident before this probe are only moved by Append / Expire /
-  /// MaybeEvict, never mid-probe).
+  /// MaybeEvict, never mid-probe), and slice rows live until this call
+  /// returns.
   void Probe(Timestamp lo, Timestamp hi, const Value* key,
              const std::function<void(const Tuple&)>& fn);
 
@@ -340,16 +347,24 @@ class StateStore {
   bool EvictBlock(StateTable* caller, StateTable* table,
                   StateTable::Block& block);
 
-  /// Evict-behind for a wide probe: `block` was loaded back by the running
-  /// probe of `table` and its rows have all been delivered. When the store
-  /// is over budget, drop it again — its file is still valid, so this is a
-  /// free drop, never a write (and thus never a disk fault). Keeps a
+  /// Evict-behind for a wide unkeyed probe: `block` was loaded back by the
+  /// running probe of `table` and its rows have all been delivered. When the
+  /// store is over budget, drop it again — its file is still valid, so this
+  /// is a free drop, never a write (and thus never a disk fault). Keeps a
   /// probe's peak residency near the budget instead of the full window.
   void EvictBehind(StateTable* table, StateTable::Block& block);
 
   /// Loads `block` of `table` back into memory. Fail-stop on I/O or CRC
   /// errors.
   void LoadBlock(StateTable* table, StateTable::Block& block);
+
+  /// Reads the rows of `key_hash` from spilled `block` of `table` into
+  /// `rows`, leaving the block spilled. Fail-stop on I/O or CRC errors.
+  void ReadSlice(StateTable* table, const StateTable::Block& block,
+                 uint64_t key_hash, std::vector<BlockSliceRow>* rows);
+
+  /// Stall charge and trace event of one block read (whole or one slice).
+  void NoteBlockRead(StateTable* table, uint64_t block_id, size_t rows);
 
   /// A spilled block fully expired (or was dropped): unlink its file now,
   /// or defer while a retained checkpoint still references it.
@@ -375,6 +390,7 @@ class StateStore {
   // Lifetime counters for work done at store level.
   uint64_t spills_ = 0;
   uint64_t loads_ = 0;
+  uint64_t slice_reads_ = 0;
   uint64_t evictions_ = 0;
   uint64_t spill_failures_ = 0;
   uint64_t shed_rows_ = 0;
@@ -394,11 +410,6 @@ class StateStore {
 /// function of the tuple's content, so eviction decisions replay
 /// identically across runs and after recovery.
 uint64_t EstimateTupleBytes(const Tuple& tuple);
-
-/// Hash of a Value consistent with operator== (type tag + payload; doubles
-/// by bit pattern). Collisions are tolerated — keyed probes re-verify with
-/// operator==.
-uint64_t HashValue(const Value& value);
 
 }  // namespace dsms
 

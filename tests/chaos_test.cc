@@ -379,6 +379,7 @@ TEST_P(ChaosDiskTest, TerminatesOrderedAndVisible) {
     // All state fits the huge budget: no disk work, nothing to fault.
     EXPECT_EQ(result.storage.spills, 0u);
     EXPECT_EQ(result.storage.loads, 0u);
+    EXPECT_EQ(result.storage.slice_reads, 0u);
     EXPECT_EQ(result.fault_events, 0u);
   }
 }

@@ -160,6 +160,7 @@ TEST(PublishToJsonTest, StorageGaugesRideTheSnapshot) {
   EXPECT_TRUE(registry.Contains("scenario.storage.hot_bytes"));
   EXPECT_TRUE(registry.Contains("scenario.storage.spills"));
   EXPECT_TRUE(registry.Contains("scenario.storage.loads"));
+  EXPECT_TRUE(registry.Contains("scenario.storage.slice_reads"));
   EXPECT_TRUE(registry.Contains("scenario.storage.purged_blocks"));
   EXPECT_TRUE(registry.Contains("scenario.storage.index_probes"));
   std::string json = Render(registry);

@@ -1,10 +1,11 @@
-// Unit and chaos tests for the crash-recovery layer: WAL append/replay with
-// torn-tail truncation, segment rotation and trimming, atomic checkpoint
-// files with CRC fallback, durable sink truncation, the backoff-jitter
-// schedule, the recovery plan statements, and the recovery.* metrics
-// surface. The crashes here are simulated with file surgery (truncating and
-// corrupting bytes the way an interrupted write would); the end-to-end
-// kill-the-server exercise lives in recovery_loopback_test.cc.
+// Unit and chaos tests for the crash-recovery layer: the CRC-32 guarding
+// every durable file, WAL append/replay with torn-tail truncation, segment
+// rotation and trimming, atomic checkpoint files with CRC fallback, durable
+// sink truncation, the backoff-jitter schedule, the recovery plan
+// statements, and the recovery.* metrics surface. The crashes here are
+// simulated with file surgery (truncating and corrupting bytes the way an
+// interrupted write would); the end-to-end kill-the-server exercise lives
+// in recovery_loopback_test.cc.
 
 #include <dirent.h>
 #include <unistd.h>
@@ -25,6 +26,7 @@
 #include "net/feed_client.h"
 #include "obs/metrics_registry.h"
 #include "recovery/checkpoint.h"
+#include "recovery/crc32.h"
 #include "recovery/durable_sink.h"
 #include "recovery/recovery_manager.h"
 #include "recovery/wal.h"
@@ -78,6 +80,52 @@ std::string ReadFile(const std::string& path) {
 void WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// --- CRC-32 ---
+
+/// The bytewise definition the slicing-by-8 Crc32 must reproduce bit for
+/// bit (WAL, checkpoint and block bytes already on disk depend on it).
+uint32_t BytewiseCrc32(const unsigned char* p, size_t size, uint32_t seed) {
+  uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  const uint64_t seed = test::TestSeedOr(0xc3c32);
+  DSMS_TRACE_SEED(seed);
+  Pcg32 rng(seed);
+  std::vector<unsigned char> buf(4096 + 8);
+  for (unsigned char& b : buf) {
+    b = static_cast<unsigned char>(rng.NextUint32());
+  }
+  for (size_t len = 0; len <= 4096; ++len) {
+    const size_t start = len % 8;  // every start alignment mod 8
+    const unsigned char* p = buf.data() + start;
+    ASSERT_EQ(Crc32(p, len), BytewiseCrc32(p, len, 0))
+        << "len " << len << " start " << start;
+  }
+  // Chaining through the seed argument agrees too.
+  for (int i = 0; i < 200; ++i) {
+    const size_t start = rng.NextBelow(8);
+    const size_t len = rng.NextBelow(4096);
+    const size_t split = rng.NextBelow(static_cast<uint32_t>(len + 1));
+    const unsigned char* p = buf.data() + start;
+    const uint32_t chained = Crc32(p + split, len - split, Crc32(p, split));
+    ASSERT_EQ(chained, BytewiseCrc32(p, len, 0));
+    ASSERT_EQ(chained, Crc32(p, len));
+  }
 }
 
 TEST(WalTest, RoundTripPreservesRecords) {
