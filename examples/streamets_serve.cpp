@@ -230,12 +230,8 @@ int main(int argc, char** argv) {
   if (!experiment->trace.path.empty()) {
     tracer = std::make_unique<Tracer>(&clock, experiment->trace.capacity);
   }
-  ExecConfig config;
+  ExecConfig config = ExecConfigForRun(experiment->run);
   config.tracer = tracer.get();
-  config.ets.mode = experiment->run.ets;
-  config.ets.min_interval = experiment->run.ets_min_interval;
-  config.watchdog.silence_horizon = experiment->run.watchdog;
-  config.batch_size = experiment->run.batch;
   if (experiment->run.buffer_cap > 0) {
     graph->SetBufferBound(experiment->run.buffer_cap,
                           experiment->run.overload);
@@ -281,7 +277,6 @@ int main(int argc, char** argv) {
     recovery->RestoreGraph(graph, &clock);
   }
 
-  config.shards = experiment->run.shards;
   // Checkpoints carry per-shard executor blobs whose layout assumes the
   // deterministic schedule; the serve/recover path always runs that mode.
   config.shard_mode = ShardMode::kDeterministic;
@@ -415,7 +410,7 @@ int main(int argc, char** argv) {
   }
   report.peak_queue_total = server.queue_tracker().peak_total();
   report.ets_generated = executor->ets_generated();
-  report.watchdog_ets = executor->stats().watchdog_ets;
+  report.lease_expired_ets = executor->stats().lease_expired_ets;
   for (Source* source : graph->sources()) {
     if (source->degraded()) report.degraded = true;
   }
@@ -444,10 +439,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(sink.tuples),
                 sink.mean_latency_ms, sink.p99_latency_ms);
   }
-  std::printf("on-demand ETS: %llu; watchdog ETS: %llu; order violations: "
+  std::printf("on-demand ETS: %llu; lease ETS: %llu; order violations: "
               "%llu\n",
               static_cast<unsigned long long>(report.ets_generated),
-              static_cast<unsigned long long>(report.watchdog_ets),
+              static_cast<unsigned long long>(report.lease_expired_ets),
               static_cast<unsigned long long>(
                   report.buffer_order_violations));
   std::printf("%s", OperatorStatsString(*graph).c_str());

@@ -32,7 +32,7 @@ bool DfsExecutor::RunStep() {
     current_ = FindWork();
     if (current_ < 0) {
       Operator* resumed = TryEtsSweep();
-      if (resumed == nullptr) resumed = TryWatchdog();
+      if (resumed == nullptr) resumed = TryLeaseExpiry();
       if (resumed == nullptr) {
         ++stats_.idle_returns;
         return false;

@@ -51,7 +51,7 @@ bool EtsGate::GenerateFallback(Source* source, Timestamp now) {
   last_generation_[source->stream_id()] = now;
   if (tracer_ != nullptr) {
     // After a successful emit the promised bound is the emitted ETS value.
-    tracer_->RecordEts(source->id(), EtsOrigin::kWatchdog,
+    tracer_->RecordEts(source->id(), EtsOrigin::kLease,
                        source->promised_bound());
   }
   return true;

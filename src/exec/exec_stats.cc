@@ -12,22 +12,14 @@ namespace {
 /// The one name->field table both registry plumbings share.
 template <typename Fn>
 void ForEachCounter(const ExecStats& stats, const std::string& prefix,
-                    bool include_deprecated, Fn&& fn) {
+                    Fn&& fn) {
   fn(prefix + ".data_steps", &stats.data_steps);
   fn(prefix + ".punctuation_steps", &stats.punctuation_steps);
   fn(prefix + ".empty_steps", &stats.empty_steps);
   fn(prefix + ".backtracks", &stats.backtracks);
   fn(prefix + ".backtrack_hops", &stats.backtrack_hops);
   fn(prefix + ".ets_generated", &stats.ets_generated);
-  // `watchdog_ets` is the deprecated spelling kept for JSON consumers only;
-  // `frontier.lease_expired_ets` is the canonical name under the frontier
-  // coordination service. The alias backs the same field, so emitting both
-  // unconditionally made any consumer that sums all counters double-count
-  // lease ETS — the deprecated key is therefore opt-in.
-  if (include_deprecated) {
-    fn(prefix + ".watchdog_ets", &stats.watchdog_ets);
-  }
-  fn(prefix + ".frontier.lease_expired_ets", &stats.watchdog_ets);
+  fn(prefix + ".frontier.lease_expired_ets", &stats.lease_expired_ets);
   fn(prefix + ".idle_returns", &stats.idle_returns);
   fn(prefix + ".work_scans", &stats.work_scans);
   fn(prefix + ".batch.batches", &stats.batches);
@@ -41,7 +33,7 @@ void ForEachCounter(const ExecStats& stats, const std::string& prefix,
 std::string ExecStats::ToString() const {
   return StrFormat(
       "data_steps=%llu punct_steps=%llu empty_steps=%llu backtracks=%llu "
-      "hops=%llu ets=%llu watchdog_ets=%llu idle_returns=%llu scans=%llu "
+      "hops=%llu ets=%llu lease_ets=%llu idle_returns=%llu scans=%llu "
       "batches=%llu batch_rows=%llu batch_splits=%llu batch_fallbacks=%llu",
       static_cast<unsigned long long>(data_steps),
       static_cast<unsigned long long>(punctuation_steps),
@@ -49,7 +41,7 @@ std::string ExecStats::ToString() const {
       static_cast<unsigned long long>(backtracks),
       static_cast<unsigned long long>(backtrack_hops),
       static_cast<unsigned long long>(ets_generated),
-      static_cast<unsigned long long>(watchdog_ets),
+      static_cast<unsigned long long>(lease_expired_ets),
       static_cast<unsigned long long>(idle_returns),
       static_cast<unsigned long long>(work_scans),
       static_cast<unsigned long long>(batches),
@@ -58,9 +50,9 @@ std::string ExecStats::ToString() const {
       static_cast<unsigned long long>(batch_fallback_steps));
 }
 
-void ExecStats::BindTo(MetricsRegistry* registry, const std::string& prefix,
-                       bool include_deprecated) const {
-  ForEachCounter(*this, prefix, include_deprecated,
+void ExecStats::BindTo(MetricsRegistry* registry,
+                       const std::string& prefix) const {
+  ForEachCounter(*this, prefix,
                  [registry](std::string name, const uint64_t* field) {
                    registry->RegisterView(std::move(name), [field]() {
                      return static_cast<double>(*field);
@@ -68,9 +60,9 @@ void ExecStats::BindTo(MetricsRegistry* registry, const std::string& prefix,
                  });
 }
 
-void ExecStats::PublishTo(MetricsRegistry* registry, const std::string& prefix,
-                          bool include_deprecated) const {
-  ForEachCounter(*this, prefix, include_deprecated,
+void ExecStats::PublishTo(MetricsRegistry* registry,
+                          const std::string& prefix) const {
+  ForEachCounter(*this, prefix,
                  [registry](std::string name, const uint64_t* field) {
                    registry->SetCounter(name, *field);
                  });

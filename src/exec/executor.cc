@@ -21,17 +21,7 @@ Executor::Executor(QueryGraph* graph, VirtualClock* clock, ExecConfig config)
   DSMS_CHECK(clock != nullptr);
   DSMS_CHECK(graph->validated());
   ets_gate_.set_tracer(tracer_);
-  // The deprecated watchdog horizon and the lease duration alias each other
-  // (whichever is set wins) so configs written against either knob arm the
-  // same lease-expiry machinery.
-  if (config_.frontier.lease.duration <= 0 &&
-      config_.watchdog.silence_horizon > 0) {
-    config_.frontier.lease.duration = config_.watchdog.silence_horizon;
-  } else if (config_.watchdog.silence_horizon <= 0 &&
-             config_.frontier.lease.duration > 0) {
-    config_.watchdog.silence_horizon = config_.frontier.lease.duration;
-  }
-  frontier_.set_policy(config_.frontier.lease);
+  frontier_.set_policy(config_.lease);
   frontier_.set_tracer(tracer_);
   frontier_.set_clock(clock_);
   for (const auto& op : graph->operators()) {
@@ -89,7 +79,7 @@ void Executor::SaveState(StateWriter& w) const {
   w.U64(stats_.backtracks);
   w.U64(stats_.backtrack_hops);
   w.U64(stats_.ets_generated);
-  w.U64(stats_.watchdog_ets);
+  w.U64(stats_.lease_expired_ets);
   w.U64(stats_.idle_returns);
   w.U64(stats_.work_scans);
   w.U64(stats_.batches);
@@ -97,11 +87,6 @@ void Executor::SaveState(StateWriter& w) const {
   w.U64(stats_.batch_punct_splits);
   w.U64(stats_.batch_fallback_steps);
   ets_gate_.SaveState(w);
-  w.U32(static_cast<uint32_t>(watchdog_last_fire_.size()));
-  for (const auto& [stream, when] : watchdog_last_fire_) {
-    w.I64(stream);
-    w.Ts(when);
-  }
   std::vector<int64_t> strategy = ExportStrategyState();
   w.U32(static_cast<uint32_t>(strategy.size()));
   for (int64_t v : strategy) w.I64(v);
@@ -115,7 +100,7 @@ void Executor::LoadState(StateReader& r) {
   stats_.backtracks = r.U64();
   stats_.backtrack_hops = r.U64();
   stats_.ets_generated = r.U64();
-  stats_.watchdog_ets = r.U64();
+  stats_.lease_expired_ets = r.U64();
   stats_.idle_returns = r.U64();
   stats_.work_scans = r.U64();
   stats_.batches = r.U64();
@@ -123,12 +108,6 @@ void Executor::LoadState(StateReader& r) {
   stats_.batch_punct_splits = r.U64();
   stats_.batch_fallback_steps = r.U64();
   ets_gate_.LoadState(r);
-  watchdog_last_fire_.clear();
-  uint32_t n = r.U32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    int32_t stream = static_cast<int32_t>(r.I64());
-    watchdog_last_fire_[stream] = r.Ts();
-  }
   std::vector<int64_t> strategy;
   uint32_t m = r.U32();
   for (uint32_t i = 0; i < m && r.ok(); ++i) strategy.push_back(r.I64());
@@ -310,12 +289,8 @@ Operator* Executor::TryEtsSweep() {
   return nullptr;
 }
 
-Operator* Executor::TryWatchdog() {
-  if (config_.frontier.mode == FrontierMode::kLegacyWatchdog) {
-    return TryLegacyWatchdog();
-  }
-  const Duration horizon = config_.frontier.lease.duration;
-  if (horizon <= 0) return nullptr;
+Operator* Executor::TryLeaseExpiry() {
+  if (config_.lease.duration <= 0) return nullptr;
   // Only step in when some IWP operator is actually holding back results;
   // a quiet graph with nothing idle-waiting needs no fallback bounds.
   bool idle_waiting = false;
@@ -336,45 +311,8 @@ Operator* Executor::TryWatchdog() {
     if (!frontier_.LeaseExpired(source, now)) continue;
     frontier_.NoteLeaseFire(source, now);
     if (ets_gate_.GenerateFallback(source, now)) {
-      ++stats_.watchdog_ets;
+      ++stats_.lease_expired_ets;
       frontier_.NoteLeaseExpiredEts(source, now);
-      clock_->Advance(config_.costs.ets_generation);
-      if (resumed == nullptr) resumed = FirstSuccessorWithInput(source);
-    }
-  }
-  return resumed;
-}
-
-Operator* Executor::TryLegacyWatchdog() {
-  const Duration horizon = config_.watchdog.silence_horizon;
-  if (horizon <= 0) return nullptr;
-  // Only step in when some IWP operator is actually holding back results;
-  // a quiet graph with nothing idle-waiting needs no fallback bounds.
-  bool idle_waiting = false;
-  for (const auto& op : graph_->operators()) {
-    if (op->WantsEts()) {
-      idle_waiting = true;
-      break;
-    }
-  }
-  if (!idle_waiting) return nullptr;
-
-  const Timestamp now = clock_->now();
-  Operator* resumed = nullptr;
-  for (const auto& op : graph_->operators()) {
-    auto* source = dynamic_cast<Source*>(op.get());
-    if (source == nullptr) continue;
-    // A source that never produced anything counts as silent since t=0.
-    const Timestamp last =
-        source->last_activity() == kMinTimestamp ? 0 : source->last_activity();
-    if (now - last < horizon) continue;
-    auto it = watchdog_last_fire_.find(source->stream_id());
-    if (it != watchdog_last_fire_.end() && now - it->second < horizon) {
-      continue;  // Already intervened this horizon; don't spin.
-    }
-    watchdog_last_fire_[source->stream_id()] = now;
-    if (ets_gate_.GenerateFallback(source, now)) {
-      ++stats_.watchdog_ets;
       clock_->Advance(config_.costs.ets_generation);
       if (resumed == nullptr) resumed = FirstSuccessorWithInput(source);
     }

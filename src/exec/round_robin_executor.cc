@@ -81,7 +81,7 @@ bool RoundRobinExecutor::RunStep() {
   used_in_quantum_ = 0;
   ++stats_.work_scans;
   Operator* resumed = TryEtsSweep();
-  if (resumed == nullptr) resumed = TryWatchdog();
+  if (resumed == nullptr) resumed = TryLeaseExpiry();
   if (resumed != nullptr) {
     cursor_ = resumed->id();
     used_in_quantum_ = 0;
@@ -101,7 +101,7 @@ bool RoundRobinExecutor::RunStepScan() {
   }
   ++stats_.work_scans;
   Operator* resumed = TryEtsSweep();
-  if (resumed == nullptr) resumed = TryWatchdog();
+  if (resumed == nullptr) resumed = TryLeaseExpiry();
   if (resumed != nullptr) {
     cursor_ = resumed->id();
     used_in_quantum_ = 0;

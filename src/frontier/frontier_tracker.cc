@@ -76,8 +76,7 @@ std::optional<Timestamp> FrontierTracker::ProposeEts(const Source* source,
                                                      Timestamp now) {
   ++ets_queries_;
   // The participant's promise IS the source's state — one authority, so the
-  // frontier-served bound is identical to the legacy DFS-path computation
-  // (the byte-identity the oracle test enforces).
+  // frontier-served bound is identical to Source::ComputeEts.
   return source->ComputeEts(now);
 }
 
@@ -150,8 +149,7 @@ Timestamp FrontierTracker::GlobalFrontier() const {
 bool FrontierTracker::LeaseExpired(const Source* source, Timestamp now) {
   if (policy_.duration <= 0) return false;
   Participant& p = Entry(source->stream_id());
-  // A source that never produced anything counts as silent since t=0 —
-  // the legacy watchdog's cold-start rule, kept bit for bit.
+  // A source that never produced anything counts as silent since t=0.
   const Timestamp last = source->last_activity() == kMinTimestamp
                              ? 0
                              : source->last_activity();

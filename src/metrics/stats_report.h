@@ -25,7 +25,7 @@ std::string OperatorStatsString(const QueryGraph& graph);
 /// snapshot path shared with ExecStats / ScenarioResult / ExperimentReport.
 void PublishOperatorStats(const QueryGraph& graph, MetricsRegistry* registry);
 
-/// Renders the graph's degraded-mode activity: sources running on watchdog
+/// Renders the graph's degraded-mode activity: sources running on lease
 /// fallback bounds, shed/vetoed pushes, and (when `validator` is non-null)
 /// the order-violation tally with its dead-letter sample. Empty string when
 /// nothing degraded — callers can print it unconditionally.

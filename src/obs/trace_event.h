@@ -79,7 +79,7 @@ enum class StepKind : uint8_t { kEmpty = 0, kData = 1, kPunctuation = 2 };
 enum class NosRule : uint8_t { kForward = 0, kEncore = 1, kBacktrack = 2 };
 
 /// Which mechanism produced an ETS (TraceEvent::detail for kEtsGenerated).
-enum class EtsOrigin : uint8_t { kOnDemand = 0, kWatchdog = 1 };
+enum class EtsOrigin : uint8_t { kOnDemand = 0, kLease = 1 };
 
 const char* TraceEventTypeToString(TraceEventType type);
 const char* StepKindToString(StepKind kind);

@@ -241,7 +241,7 @@ bool Source::EmitFallbackEts(Timestamp now) {
   if (!ets.has_value()) return false;
   InjectPunctuation(*ets);
   ++ets_emitted_;
-  ++watchdog_fallbacks_;
+  ++fallback_ets_;
   return true;
 }
 
@@ -250,7 +250,7 @@ void Source::SaveState(StateWriter& w) const {
   w.U64(next_sequence_);
   w.U64(tuples_ingested_);
   w.U64(ets_emitted_);
-  w.U64(watchdog_fallbacks_);
+  w.U64(fallback_ets_);
   w.Ts(promised_bound_);
   w.Ts(last_activity_);
   w.Ts(last_app_timestamp_);
@@ -262,7 +262,7 @@ void Source::LoadState(StateReader& r) {
   next_sequence_ = r.U64();
   tuples_ingested_ = r.U64();
   ets_emitted_ = r.U64();
-  watchdog_fallbacks_ = r.U64();
+  fallback_ets_ = r.U64();
   promised_bound_ = r.Ts();
   last_activity_ = r.Ts();
   last_app_timestamp_ = r.Ts();

@@ -110,7 +110,7 @@ class Source : public Operator {
   /// ComputeEts + InjectPunctuation; returns true if an ETS was emitted.
   bool EmitEts(Timestamp now);
 
-  /// Watchdog fallback bound for a source that has gone silent (stalled or
+  /// Lease-expiry fallback bound for a source that has gone silent (stalled or
   /// dead producer). Unlike ComputeEts, the external-stream case does not
   /// need any tuple to ever have arrived: with no pending data, every future
   /// tuple's app timestamp is > now − δ by the skew contract, so now − δ is
@@ -129,8 +129,8 @@ class Source : public Operator {
   Timestamp promised_bound() const { return promised_bound_; }
 
   /// Wall time of the last producer activity (data ingest or injected
-  /// punctuation); kMinTimestamp until the first. The executors' liveness
-  /// watchdog compares this against its silence horizon.
+  /// punctuation); kMinTimestamp until the first. Lease expiry
+  /// (FrontierTracker::LeaseExpired) compares this against the lease.
   Timestamp last_activity() const { return last_activity_; }
 
   /// Frontier coordination service this source reports violations to
@@ -142,10 +142,10 @@ class Source : public Operator {
 
   uint64_t tuples_ingested() const { return tuples_ingested_; }
   uint64_t ets_emitted() const { return ets_emitted_; }
-  uint64_t watchdog_fallbacks() const { return watchdog_fallbacks_; }
+  uint64_t fallback_ets() const { return fallback_ets_; }
   /// True once a fallback ETS was emitted on this stream: downstream output
   /// beyond that bound is derived from the skew contract, not observed data.
-  bool degraded() const { return watchdog_fallbacks_ > 0; }
+  bool degraded() const { return fallback_ets_ > 0; }
 
   void SaveState(StateWriter& w) const override;
   void LoadState(StateReader& r) override;
@@ -166,7 +166,7 @@ class Source : public Operator {
   uint64_t next_sequence_ = 0;
   uint64_t tuples_ingested_ = 0;
   uint64_t ets_emitted_ = 0;
-  uint64_t watchdog_fallbacks_ = 0;
+  uint64_t fallback_ets_ = 0;
   Timestamp promised_bound_ = kMinTimestamp;
   Timestamp last_activity_ = kMinTimestamp;
   /// External streams: last app timestamp and its arrival wall time.

@@ -17,7 +17,7 @@
 namespace dsms {
 namespace {
 
-constexpr char kCkptMagic[8] = {'D', 'S', 'M', 'S', 'C', 'K', 'P', '1'};
+constexpr char kCkptMagic[8] = {'D', 'S', 'M', 'S', 'C', 'K', 'P', '2'};
 
 std::string CheckpointName(uint64_t id) {
   return StrFormat("checkpoint-%020llu.ckpt",

@@ -28,7 +28,7 @@ struct CheckpointImage {
   std::vector<std::pair<int32_t, std::string>> operator_blobs;
   /// Buffer content blobs keyed by buffer id.
   std::vector<std::pair<int32_t, std::string>> buffer_blobs;
-  /// Executor state (ExecStats, EtsGate, watchdog, strategy cursor).
+  /// Executor state (ExecStats, EtsGate, strategy cursor, frontier tracker).
   std::string executor_blob;
   /// IngestServer state (connection reports, skew trackers, validator).
   std::string net_blob;
@@ -45,7 +45,10 @@ struct CheckpointImage {
 /// Atomically writes `image` as `checkpoint-<id>.ckpt` in `dir`
 /// (write-temp + fsync + rename — a crash mid-write leaves only an ignored
 /// .tmp file), then prunes old checkpoints keeping the newest `keep`.
-/// File layout: magic "DSMSCKP1", u64 body length, u32 crc32(body), body.
+/// File layout: magic "DSMSCKP2", u64 body length, u32 crc32(body), body.
+/// A file with any other magic (including the retired "DSMSCKP1" layout,
+/// whose executor blob carried an extra per-source fire-time map) is rejected
+/// like a corrupt one.
 Status WriteCheckpointFile(const std::string& dir,
                            const CheckpointImage& image, int keep);
 

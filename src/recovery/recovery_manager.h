@@ -83,8 +83,8 @@ class RecoveryManager {
   /// and before the executor is constructed.
   void RestoreGraph(QueryGraph* graph, VirtualClock* clock);
 
-  /// Applies checkpointed executor state (stats, ETS gate, watchdog,
-  /// strategy cursor). Must run after the executor is constructed.
+  /// Applies checkpointed executor state (stats, ETS gate, strategy cursor,
+  /// frontier tracker). Must run after the executor is constructed.
   void RestoreExecutor(Executor* executor);
 
   /// Checkpointed IngestServer section (empty when none was saved).

@@ -1,5 +1,6 @@
 #include "sim/experiment_spec.h"
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -204,6 +205,18 @@ Status ParseFault(const ExpStatement& s, FaultTargetSpec* fault) {
 }
 
 Status ParseRun(const ExpStatement& s, RunSpec* run) {
+  // A misspelled or retired key must fail the parse rather than silently
+  // leave its knob at the default (a dropped lease disarms liveness).
+  static constexpr std::string_view kRunKeys[] = {
+      "horizon", "warmup", "ets_min_interval", "ets", "executor", "quantum",
+      "lease", "buffer_cap", "overload", "shards", "mode", "violations"};
+  for (const auto& arg : s.args) {
+    if (std::find(std::begin(kRunKeys), std::end(kRunKeys), arg.first) ==
+        std::end(kRunKeys)) {
+      return InvalidArgumentError(StrFormat(
+          "line %d: unknown run key '%s'", s.line, arg.first.c_str()));
+    }
+  }
   DSMS_RETURN_IF_ERROR(
       GetArgDuration(s, "horizon", 600 * kSecond, &run->horizon));
   DSMS_RETURN_IF_ERROR(GetArgDuration(s, "warmup", 0, &run->warmup));
@@ -244,18 +257,6 @@ Status ParseRun(const ExpStatement& s, RunSpec* run) {
   if (run->lease < 0) {
     return InvalidArgumentError(
         StrFormat("line %d: lease must be >= 0", s.line));
-  }
-  DSMS_RETURN_IF_ERROR(GetArgDuration(s, "watchdog", 0, &run->watchdog));
-  if (run->watchdog < 0) {
-    return InvalidArgumentError(
-        StrFormat("line %d: watchdog must be >= 0", s.line));
-  }
-  if (s.args.count("watchdog") > 0) {
-    // One-release deprecation window: the executor aliases the two knobs,
-    // so old plans keep their exact behaviour while they migrate.
-    DSMS_LOG(Warning) << "line " << s.line
-                      << ": run watchdog= is deprecated; use lease= (the "
-                         "frontier lease duration — same semantics)";
   }
   int64_t buffer_cap = 0;
   DSMS_RETURN_IF_ERROR(GetArgInt(s, "buffer_cap", 0, &buffer_cap));
@@ -772,6 +773,17 @@ Result<Experiment> ParseExperiment(std::string_view text,
   return experiment;
 }
 
+ExecConfig ExecConfigForRun(const RunSpec& run) {
+  ExecConfig config;
+  config.ets.mode = run.ets;
+  config.ets.min_interval = run.ets_min_interval;
+  config.lease.duration = run.lease;
+  config.batch_size = run.batch;
+  config.shards = run.shards;
+  config.shard_mode = run.shard_mode;
+  return config;
+}
+
 Result<ExperimentReport> RunExperiment(Experiment* experiment) {
   QueryGraph* graph = experiment->plan.graph.get();
   if (graph == nullptr || !graph->validated()) {
@@ -783,24 +795,12 @@ Result<ExperimentReport> RunExperiment(Experiment* experiment) {
   if (!experiment->trace.path.empty()) {
     tracer = std::make_unique<Tracer>(&clock, experiment->trace.capacity);
   }
-  ExecConfig config;
+  ExecConfig config = ExecConfigForRun(experiment->run);
   config.tracer = tracer.get();
-  config.ets.mode = experiment->run.ets;
-  config.ets.min_interval = experiment->run.ets_min_interval;
-  // lease= wins over the deprecated watchdog= alias; whichever is set, the
-  // Executor constructor aliases the other to it.
-  if (experiment->run.lease > 0) {
-    config.frontier.lease.duration = experiment->run.lease;
-  } else {
-    config.watchdog.silence_horizon = experiment->run.watchdog;
-  }
-  config.batch_size = experiment->run.batch;
   if (experiment->run.buffer_cap > 0) {
     graph->SetBufferBound(experiment->run.buffer_cap,
                           experiment->run.overload);
   }
-  config.shards = experiment->run.shards;
-  config.shard_mode = experiment->run.shard_mode;
   if (experiment->storage.enabled && graph->state_store() == nullptr) {
     StorageConfig storage_config;
     storage_config.mem_budget = experiment->storage.mem_budget;
@@ -872,7 +872,7 @@ Result<ExperimentReport> RunExperiment(Experiment* experiment) {
   report.peak_queue_total = sim.queue_tracker().peak_total();
   report.ets_generated = executor->ets_generated();
   report.fault_events = sim.fault_events();
-  report.watchdog_ets = executor->stats().watchdog_ets;
+  report.lease_expired_ets = executor->stats().lease_expired_ets;
   for (Source* source : graph->sources()) {
     if (source->degraded()) report.degraded = true;
   }
@@ -918,10 +918,8 @@ void ExperimentReport::PublishTo(MetricsRegistry* registry) const {
                        static_cast<uint64_t>(peak_queue_total));
   registry->SetCounter("experiment.ets_generated", ets_generated);
   registry->SetCounter("experiment.fault_events", fault_events);
-  // Deprecated spelling and its frontier-era replacement, bound to the same
-  // count so JSON consumers can migrate on their own schedule.
-  registry->SetCounter("experiment.watchdog_ets", watchdog_ets);
-  registry->SetCounter("experiment.frontier.lease_expired_ets", watchdog_ets);
+  registry->SetCounter("experiment.frontier.lease_expired_ets",
+                       lease_expired_ets);
   registry->SetGauge("experiment.degraded", degraded ? 1.0 : 0.0);
   registry->SetCounter("experiment.shed_tuples", shed_tuples);
   registry->SetCounter("experiment.quarantined", quarantined);
@@ -933,9 +931,7 @@ void ExperimentReport::PublishTo(MetricsRegistry* registry) const {
   registry->SetCounter("exec.shard.hops", shard_hops);
   registry->SetCounter("exec.shard.epochs", shard_epochs);
   storage.PublishTo(registry, "storage");
-  // The `--metrics` JSON output keeps the deprecated `exec.watchdog_ets`
-  // alias; aggregation paths (ScenarioResult) omit it.
-  exec.PublishTo(registry, "exec", /*include_deprecated=*/true);
+  exec.PublishTo(registry, "exec");
 }
 
 }  // namespace dsms

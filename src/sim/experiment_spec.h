@@ -100,11 +100,8 @@ struct RunSpec {
   /// Robustness knobs; defaults leave the engine in its fault-intolerant
   /// (but byte-identical to seed) configuration.
   ///
-  /// `lease=DUR` is the frontier lease duration (source-liveness horizon);
-  /// `watchdog=DUR` still parses as a deprecated alias for one release and
-  /// logs a warning. When both appear, lease wins.
+  /// `lease=DUR` is the frontier lease duration (source-liveness horizon).
   Duration lease = 0;
-  Duration watchdog = 0;  // DEPRECATED alias of lease
   size_t buffer_cap = 0;
   OverloadPolicy overload = OverloadPolicy::kGrow;
   ViolationPolicy violations = ViolationPolicy::kCount;
@@ -219,7 +216,7 @@ struct ExperimentReport {
   uint64_t ets_generated = 0;
   /// Robustness: fault activity and which defenses absorbed it.
   uint64_t fault_events = 0;
-  uint64_t watchdog_ets = 0;
+  uint64_t lease_expired_ets = 0;
   bool degraded = false;
   uint64_t shed_tuples = 0;
   uint64_t quarantined = 0;
@@ -244,6 +241,11 @@ struct ExperimentReport {
   /// (MetricsRegistry::PrintTable / PrintJson). Fields stay the accessors.
   void PublishTo(MetricsRegistry* registry) const;
 };
+
+/// The executor configuration of a run: ETS mode and throttle, lease, batch
+/// size, shards and shard mode. Every driver of an experiment starts from
+/// it; callers add the tracer and may override shard_mode.
+ExecConfig ExecConfigForRun(const RunSpec& run);
 
 /// Builds the executor and simulation described by `experiment`, runs it,
 /// and collects the report. The experiment's graph is consumed (buffers

@@ -133,14 +133,8 @@ struct ScenarioConfig {
   /// the scenario's source list (clamped). Composes with `fault` for
   /// multi-bad-source chaos runs: at most one fault per source.
   std::vector<FaultSpec> extra_faults;
-  /// DEPRECATED: source-liveness silence horizon (0 = off). Alias of
-  /// `lease.duration` — see FrontierPolicy; kept so older configs and the
-  /// legacy-watchdog oracle runs keep working.
-  Duration watchdog_horizon = 0;
-  /// Frontier coordination: tracker vs legacy-watchdog oracle, and the
-  /// lease/lifecycle hysteresis config. lease.duration 0 defers to
-  /// watchdog_horizon (the executor aliases the two).
-  FrontierMode frontier_mode = FrontierMode::kTracker;
+  /// Source liveness: frontier lease duration (0 = off) and lifecycle
+  /// hysteresis (ExecConfig::lease).
   LeasePolicy lease;
   /// Per-arc capacity bound (0 = unbounded) and what to do at the limit.
   size_t buffer_capacity = 0;
@@ -203,21 +197,20 @@ struct ScenarioResult {
   uint64_t buffer_order_violations = 0;
 
   // Robustness: what the injected fault did and what absorbed it.
-  uint64_t fault_events = 0;      // injector actions (0 = fault never fired)
-  uint64_t watchdog_ets = 0;      // lease-expiry fallback ETS (deprecated
-                                  // spelling; = frontier_lease_expired_ets)
-  bool degraded = false;          // some source ran on fallback bounds
-  uint64_t shed_tuples = 0;       // dropped by kShedOldest overload policy
-  uint64_t quarantined = 0;       // moved to the dead-letter buffer
-  uint64_t dropped_late = 0;      // vetoed by kDropLate
-  uint64_t late_absorbed = 0;     // late data consumed by the IWP operator
-  uint64_t max_buffer_hwm = 0;    // largest single-arc occupancy ever
+  uint64_t fault_events = 0;       // injector actions (0 = fault never fired)
+  uint64_t lease_expired_ets = 0;  // lease-expiry fallback ETS
+  bool degraded = false;           // some source ran on fallback bounds
+  uint64_t shed_tuples = 0;        // dropped by kShedOldest overload policy
+  uint64_t quarantined = 0;        // moved to the dead-letter buffer
+  uint64_t dropped_late = 0;       // vetoed by kDropLate
+  uint64_t late_absorbed = 0;      // late data consumed by the IWP operator
+  uint64_t max_buffer_hwm = 0;     // largest single-arc occupancy ever
 
   // Frontier coordination service (tentpole of the robustness milestone):
   // what the tracker saw and did. All zero when no fault fired and leases
   // never expired.
   uint64_t frontier_violations = 0;        // punctuation/skew/disorder/flap
-  uint64_t frontier_lease_expiries = 0;    // lease-expiry (watchdog) fires
+  uint64_t frontier_lease_expiries = 0;    // lease-expiry fires
   uint64_t frontier_revivals = 0;          // silent sources that came back
   uint64_t frontier_quarantines = 0;       // healthy->...->quarantined trips
   uint64_t frontier_transitions = 0;       // all lifecycle state changes

@@ -364,10 +364,7 @@ bool StateStore::FaultFires(FaultKind kind, Timestamp now) {
   if (now < fault_.start || now >= fault_.start + fault_.duration) {
     return false;
   }
-  if (kind == FaultKind::kDiskFail &&
-      !fault_rng_.NextBernoulli(fault_.probability)) {
-    return false;
-  }
+  if (!fault_rng_.NextBernoulli(fault_.probability)) return false;
   ++fault_events_;
   return true;
 }

@@ -118,14 +118,14 @@ sink OUT in=U
 feed FAST process=poisson rate=50 seed=1
 feed SLOW process=poisson rate=0.5 seed=2
 fault SLOW kind=stall start=10s duration=10s
-run horizon=40s ets=none watchdog=2s buffer_cap=128 overload=shed violations=quarantine
+run horizon=40s ets=none lease=2s buffer_cap=128 overload=shed violations=quarantine
 )");
   ASSERT_TRUE(experiment.ok()) << experiment.status();
   ASSERT_EQ(experiment->faults.size(), 1u);
   EXPECT_EQ(experiment->faults[0].source, "SLOW");
   EXPECT_EQ(experiment->faults[0].spec.kind, FaultKind::kStall);
   EXPECT_EQ(experiment->faults[0].spec.start, 10 * kSecond);
-  EXPECT_EQ(experiment->run.watchdog, 2 * kSecond);
+  EXPECT_EQ(experiment->run.lease, 2 * kSecond);
   EXPECT_EQ(experiment->run.buffer_cap, 128u);
   EXPECT_EQ(experiment->run.overload, OverloadPolicy::kShedOldest);
   EXPECT_EQ(experiment->run.violations, ViolationPolicy::kQuarantine);
@@ -133,7 +133,7 @@ run horizon=40s ets=none watchdog=2s buffer_cap=128 overload=shed violations=qua
   auto report = RunExperiment(&*experiment);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_GT(report->fault_events, 0u);
-  EXPECT_GT(report->watchdog_ets, 0u);
+  EXPECT_GT(report->lease_expired_ets, 0u);
   EXPECT_TRUE(report->degraded);
   EXPECT_LE(report->max_buffer_hwm, 128u);
   EXPECT_NE(report->robustness.find("degraded source 'SLOW'"),
@@ -228,6 +228,21 @@ feed S process=poisson rate=1
 run ets=perhaps
 )");
   ASSERT_FALSE(experiment.ok());
+}
+
+// A retired or misspelled run key must fail the parse: silently ignoring
+// `watchdog=` or `leas=` would leave liveness disarmed.
+TEST(ExperimentSpecTest, ErrorUnknownRunKey) {
+  for (const char* key : {"watchdog", "leas"}) {
+    auto experiment = ParseExperiment(std::string(R"(
+stream S ts=internal
+sink OUT in=S
+feed S process=poisson rate=1
+run horizon=10s )") + key + "=5s\n");
+    ASSERT_FALSE(experiment.ok()) << key;
+    EXPECT_EQ(experiment.status().message(),
+              std::string("line 5: unknown run key '") + key + "'");
+  }
 }
 
 TEST(ExperimentSpecTest, ErrorMissingTraceFile) {

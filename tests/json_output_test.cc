@@ -190,7 +190,7 @@ TEST(ChromeTraceJsonTest, EveryEventKindValidates) {
   tracer.RecordStep(0, 0, 5, StepKind::kData);
   tracer.RecordNosRule(0, NosRule::kBacktrack, 3);
   tracer.RecordEts(1, EtsOrigin::kOnDemand, 100);
-  tracer.RecordEts(1, EtsOrigin::kWatchdog, 200);
+  tracer.RecordEts(1, EtsOrigin::kLease, 200);
   tracer.RecordIdleWait(0, true);
   tracer.RecordIdleWait(0, false);
   tracer.RecordHighWater(0, 16);
@@ -201,6 +201,7 @@ TEST(ChromeTraceJsonTest, EveryEventKindValidates) {
   tracer.WriteChromeTrace(os);
   std::string error;
   EXPECT_TRUE(ValidateJson(os.str(), &error)) << error << "\n" << os.str();
+  EXPECT_NE(os.str().find("\"ets:lease\""), std::string::npos);
 }
 
 TEST(ChromeTraceJsonTest, EmptyTraceValidates) {

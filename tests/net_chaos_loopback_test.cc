@@ -153,10 +153,7 @@ struct ChaosHarness {
     graph = experiment->plan.graph.get();
     for (Sink* sink : graph->sinks()) sink->set_collect(true);
 
-    ExecConfig config;
-    config.ets.mode = experiment->run.ets;
-    config.ets.min_interval = experiment->run.ets_min_interval;
-    config.watchdog.silence_horizon = experiment->run.watchdog;
+    ExecConfig config = ExecConfigForRun(experiment->run);
     if (experiment->run.buffer_cap > 0) {
       graph->SetBufferBound(experiment->run.buffer_cap,
                             experiment->run.overload);
@@ -230,10 +227,7 @@ struct WalHarness {
     DSMS_CHECK(recovery->Open().ok());
     recovery->RestoreGraph(graph, &clock);
 
-    ExecConfig config;
-    config.ets.mode = experiment->run.ets;
-    config.ets.min_interval = experiment->run.ets_min_interval;
-    config.watchdog.silence_horizon = experiment->run.watchdog;
+    ExecConfig config = ExecConfigForRun(experiment->run);
     executor = std::make_unique<DfsExecutor>(graph, &clock, config);
     recovery->RestoreExecutor(executor.get());
     DSMS_CHECK(recovery->AttachSinks(graph).ok());

@@ -5,7 +5,7 @@
 // produces bit-identical sink output whether its feeds run through the
 // discrete-event Simulation or are replayed over a socket into a
 // frame-driven server. The rest exercise the defenses that only matter on
-// a network: watchdog ETS for a feeder that dies mid-run, skew-contract
+// a network: lease ETS for a feeder that dies mid-run, skew-contract
 // violations routed to the ViolationPolicy, load shedding under
 // backpressure, and garbage bytes closing one connection without taking
 // down the server.
@@ -53,10 +53,7 @@ struct ServerHarness {
     graph = experiment->plan.graph.get();
     for (Sink* sink : graph->sinks()) sink->set_collect(true);
 
-    ExecConfig config;
-    config.ets.mode = experiment->run.ets;
-    config.ets.min_interval = experiment->run.ets_min_interval;
-    config.watchdog.silence_horizon = experiment->run.watchdog;
+    ExecConfig config = ExecConfigForRun(experiment->run);
     if (experiment->run.buffer_cap > 0) {
       graph->SetBufferBound(experiment->run.buffer_cap,
                             experiment->run.overload);
@@ -165,17 +162,19 @@ TEST(NetLoopbackTest, FrameDrivenReplayMatchesSimulationBitForBit) {
   ExpectSameTuples(sim_sink->collected(), harness.sink()->collected());
 }
 
-TEST(NetLoopbackTest, WatchdogEtsFiresWhenFeederDies) {
+TEST(NetLoopbackTest, LeaseEtsFiresWhenFeederDies) {
   // Two external streams into a union: the union idle-waits on whichever
   // stream is silent. The feeder sends data on A only, then disconnects —
-  // the wall clock keeps moving, so the liveness watchdog must produce
-  // fallback ETS that let the union drain A's tuples to the sink.
+  // the wall clock keeps moving, so lease expiry must produce fallback ETS
+  // that let the union drain A's tuples to the sink. The harness builds its
+  // ExecConfig with ExecConfigForRun, as streamets_serve does, so this
+  // also checks that a served plan's `lease=` arms lease expiry.
   constexpr char kPlan[] = R"(
 stream A ts=external skew=50ms
 stream B ts=external skew=50ms
 union U in=A,B
 sink OUT in=U
-run horizon=1s watchdog=100ms ets=on-demand
+run horizon=1s lease=100ms ets=on-demand
 )";
   ServerHarness harness(kPlan, IngestClock::Mode::kWallClock);
   harness.Serve();
@@ -194,7 +193,7 @@ run horizon=1s watchdog=100ms ets=on-demand
   client.Close();  // the producer dies; the server keeps serving
 
   ASSERT_TRUE(harness.Join().ok());
-  EXPECT_GT(harness.executor->stats().watchdog_ets, 0u);
+  EXPECT_GT(harness.executor->stats().lease_expired_ets, 0u);
   // The query drained: every tuple made it through the idle-waiting union.
   EXPECT_EQ(harness.sink()->data_delivered(), 5u);
   bool any_degraded = false;

@@ -135,42 +135,24 @@ TEST(ExecStatsRegistryTest, BindToIsLiveAndPublishToCopies) {
   EXPECT_TRUE(copied.Contains("exec.backtrack_hops"));
 }
 
-// Regression: `watchdog_ets` and `frontier.lease_expired_ets` alias the same
-// field, so emitting both unconditionally double-counted lease ETS for any
-// consumer that sums all exec.* counters. The deprecated key must be opt-in
-// and the canonical key always present with the full value.
-TEST(ExecStatsRegistryTest, DeprecatedWatchdogKeyIsOptIn) {
+// Regression: lease ETS once had a second key bound to the same field, so
+// any consumer summing all exec.* counters double-counted it. Both registry
+// paths emit the one key, with the full value.
+TEST(ExecStatsRegistryTest, LeaseEtsIsCountedOnce) {
   ExecStats stats;
-  stats.watchdog_ets = 7;
-
-  MetricsRegistry modern;
-  stats.PublishTo(&modern, "exec");
-  EXPECT_FALSE(modern.Contains("exec.watchdog_ets"));
-  EXPECT_TRUE(modern.Contains("exec.frontier.lease_expired_ets"));
-
-  MetricsRegistry legacy;
-  stats.PublishTo(&legacy, "exec", /*include_deprecated=*/true);
-  uint64_t lease_ets_sum = 0;
-  std::string deprecated_value;
-  for (const auto& sample : legacy.Samples()) {
-    if (sample.name == "exec.watchdog_ets") deprecated_value = sample.value;
-    if (sample.name == "exec.watchdog_ets" ||
-        sample.name == "exec.frontier.lease_expired_ets") {
-      lease_ets_sum += std::stoull(sample.value);
-    }
-  }
-  EXPECT_EQ(deprecated_value, "7");  // kept for `--metrics` JSON consumers
-  EXPECT_EQ(lease_ets_sum, 14u);     // both keys present only when opted in
-
-  // Summing every counter in the default emission must count lease ETS once.
-  uint64_t total = 0;
-  for (const auto& sample : modern.Samples()) total += std::stoull(sample.value);
-  EXPECT_EQ(total, 7u);
-
+  stats.lease_expired_ets = 7;
+  MetricsRegistry copied;
+  stats.PublishTo(&copied, "exec");
   MetricsRegistry live;
   stats.BindTo(&live, "exec");
-  EXPECT_FALSE(live.Contains("exec.watchdog_ets"));
-  EXPECT_TRUE(live.Contains("exec.frontier.lease_expired_ets"));
+  for (const MetricsRegistry* registry : {&copied, &live}) {
+    EXPECT_TRUE(registry->Contains("exec.frontier.lease_expired_ets"));
+    uint64_t total = 0;
+    for (const auto& sample : registry->Samples()) {
+      total += std::stoull(sample.value);
+    }
+    EXPECT_EQ(total, 7u);
+  }
 }
 
 class ExecutorTraceTest : public ::testing::TestWithParam<ExecutorKind> {};

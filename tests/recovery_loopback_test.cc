@@ -81,21 +81,10 @@ struct RecoveryHarness {
     }
     recovery->RestoreGraph(graph, &clock);
 
-    ExecConfig config;
-    config.ets.mode = experiment->run.ets;
-    config.ets.min_interval = experiment->run.ets_min_interval;
-    // Same aliasing as RunExperiment: `lease=` is the current spelling,
-    // `watchdog=` the deprecated one; either lands on the frontier lease.
-    if (experiment->run.lease > 0) {
-      config.frontier.lease.duration = experiment->run.lease;
-    } else {
-      config.watchdog.silence_horizon = experiment->run.watchdog;
-    }
-    config.batch_size = experiment->run.batch;
+    ExecConfig config = ExecConfigForRun(experiment->run);
     // Same policy as streamets_serve: `run shards=N` shards the engine, but
     // a recovery-enabled server always runs the deterministic discipline —
     // checkpoint blobs encode a deterministic schedule position.
-    config.shards = experiment->run.shards;
     config.shard_mode = ShardMode::kDeterministic;
     if (config.shards > 1) {
       executor = std::make_unique<ShardedExecutor>(graph, &clock, config);

@@ -355,6 +355,32 @@ TEST(CheckpointTest, CorruptNewestFallsBackToPrevious) {
   EXPECT_EQ(fallbacks, 1u);
 }
 
+// The DSMSCKP1 layout's executor blob carried one more map than today's;
+// such an image must be rejected by its magic, never parsed with the new
+// layout. The CRC covers only the body, so only the magic can tell.
+TEST(CheckpointTest, RetiredLayoutMagicIsRejected) {
+  const std::string dir = FreshDir("ckpt_retired");
+  ASSERT_TRUE(WriteCheckpointFile(dir, MakeImage(1), /*keep=*/5).ok());
+  ASSERT_TRUE(WriteCheckpointFile(dir, MakeImage(2), /*keep=*/5).ok());
+  std::string newest;
+  for (const std::string& name : ListDir(dir)) {
+    if (name.size() > 5 && name.compare(name.size() - 5, 5, ".ckpt") == 0) {
+      newest = name;
+    }
+  }
+  ASSERT_FALSE(newest.empty());
+  std::string bytes = ReadFile(dir + "/" + newest);
+  ASSERT_EQ(bytes.compare(0, 8, "DSMSCKP2"), 0);
+  bytes[7] = '1';
+  WriteFile(dir + "/" + newest, bytes);
+
+  uint64_t fallbacks = 0;
+  Result<CheckpointImage> loaded = LoadLatestCheckpoint(dir, &fallbacks);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->checkpoint_id, 1u);
+  EXPECT_EQ(fallbacks, 1u);
+}
+
 TEST(CheckpointTest, CrashBeforeRenameLeavesTmpFileThatIsIgnored) {
   const std::string dir = FreshDir("ckpt_tmp");
   ASSERT_TRUE(WriteCheckpointFile(dir, MakeImage(1), /*keep=*/5).ok());

@@ -344,7 +344,7 @@ TEST(ShardedExecutorTest, ParallelSurvivesSourceFlap) {
   config.fault.duration = 30 * kSecond;
   config.fault.punct_period = 10 * kSecond;
   config.fault_target = 0;
-  config.watchdog_horizon = 5 * kSecond;
+  config.lease.duration = 5 * kSecond;
 
   ScenarioResult result = RunScenario(config);
   EXPECT_GT(result.tuples_delivered, 0u);

@@ -490,6 +490,7 @@ TEST(StateStoreSliceTest, DiskStallChargedOncePerSpilledBlockRead) {
   fault.kind = FaultKind::kDiskStall;
   fault.start = 0;
   fault.duration = 1000 * kSecond;
+  fault.probability = 1.0;
   fault.magnitude = 5 * kMillisecond;
   rig.store->ArmFault(fault, /*run_seed=*/42);
   rig.table.BeginStep(kSecond);
@@ -725,6 +726,7 @@ TEST(StateStoreTest, DiskStallChargesVirtualTime) {
   fault.kind = FaultKind::kDiskStall;
   fault.start = 0;
   fault.duration = 1000 * kSecond;
+  fault.probability = 1.0;
   fault.magnitude = 5 * kMillisecond;
   rig.store->ArmFault(fault, /*run_seed=*/42);
 
@@ -737,6 +739,28 @@ TEST(StateStoreTest, DiskStallChargesVirtualTime) {
   EXPECT_EQ(rig.table.TakeStall(), 0);  // drained
   EXPECT_GT(rig.store->fault_events(), 0u);
   EXPECT_GT(rig.store->stats().stalls, 0u);
+}
+
+// A disk-stall charges each block read or write with probability `prob`,
+// like disk-fail: at 0 nothing inside the window stalls.
+TEST(StateStoreTest, DiskStallHonoursZeroProbability) {
+  SpillRig rig("stall_prob0");
+  rig.Fill(30);
+  ASSERT_GT(rig.table.num_spilled_blocks(), 0u);
+
+  FaultSpec fault;
+  fault.kind = FaultKind::kDiskStall;
+  fault.start = 0;
+  fault.duration = 1000 * kSecond;
+  fault.probability = 0.0;
+  fault.magnitude = 5 * kMillisecond;
+  rig.store->ArmFault(fault, /*run_seed=*/42);
+
+  rig.table.BeginStep(/*now=*/kSecond);
+  EXPECT_EQ(ProbeAll(rig.table, 0, 100 * kSecond).size(), 30u);
+  EXPECT_EQ(rig.table.TakeStall(), 0);
+  EXPECT_EQ(rig.store->stats().stalls, 0u);
+  EXPECT_EQ(rig.store->fault_events(), 0u);
 }
 
 TEST(StateStoreTest, EvictionStallIsChargedToCallerNotVictim) {
@@ -753,6 +777,7 @@ TEST(StateStoreTest, EvictionStallIsChargedToCallerNotVictim) {
   fault.kind = FaultKind::kDiskStall;
   fault.start = kSecond;
   fault.duration = 1000 * kSecond;
+  fault.probability = 1.0;
   fault.magnitude = 5 * kMillisecond;
   rig.store->ArmFault(fault, /*run_seed=*/42);
 
