@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <sched.h>
 #include <unistd.h>
 
 #include <cstdlib>
@@ -18,7 +19,6 @@
 #include "common/check.h"
 #include "common/clock.h"
 #include "common/random.h"
-#include "core/column_batch.h"
 #include "core/stream_buffer.h"
 #include "core/tuple.h"
 #include "exec/dfs_executor.h"
@@ -389,21 +389,20 @@ BENCHMARK(BM_DfsPipeline)
     ->Args({64, 0})
     ->Args({64, 1});
 
-// --- Columnar batch path vs the scalar tuple-at-a-time path --------------
-// (see docs/batching.md; these pairs back the batch PR's speedup claims)
+// --- Row runs: one Step per row (budget 1) vs one Step per burst ---------
+// (see docs/batching.md). The budget is ExecContext::row_budget(), which the
+// executors set from ExecConfig::batch_size.
 
-/// Scalar baseline: one Step() call — one virtual dispatch, one buffer pop,
-/// one std::function predicate call — per row.
 void BM_FilterScalar(benchmark::State& state) {
   const int64_t rows = state.range(0);
   StreamBuffer in("in");
   StreamBuffer out("out");
   Filter filter("f",
                 [](const Tuple& t) { return t.value(0).AsDouble() >= 0.5; });
-  filter.set_compare_spec(0, FilterCmp::kGe, 0.5);
   filter.AddInput(&in);
   filter.AddOutput(&out);
   ManualExecContext ctx;
+  ctx.set_row_budget(static_cast<size_t>(state.range(1)));
   Pcg32 rng(7);
   std::vector<double> values(static_cast<size_t>(rows));
   for (double& v : values) v = rng.NextDouble();
@@ -418,39 +417,12 @@ void BM_FilterScalar(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }
-BENCHMARK(BM_FilterScalar)->ArgName("rows")->Arg(64)->Arg(1024);
-
-/// Vectorized path: one DrainIntoBatch + one ProcessBatch per burst; the
-/// comparison runs as a tight selection loop over the numeric column.
-void BM_FilterBatch(benchmark::State& state) {
-  const int64_t rows = state.range(0);
-  StreamBuffer in("in");
-  StreamBuffer out("out");
-  Filter filter("f",
-                [](const Tuple& t) { return t.value(0).AsDouble() >= 0.5; });
-  filter.set_compare_spec(0, FilterCmp::kGe, 0.5);
-  filter.AddInput(&in);
-  filter.AddOutput(&out);
-  ManualExecContext ctx;
-  Pcg32 rng(7);
-  std::vector<double> values(static_cast<size_t>(rows));
-  for (double& v : values) v = rng.NextDouble();
-  ColumnBatch batch;
-  for (auto _ : state) {
-    state.PauseTiming();  // staging the burst is not the path under test
-    for (int64_t i = 0; i < rows; ++i) {
-      in.Push(Tuple::MakeData(i, {Value(values[static_cast<size_t>(i)])}));
-    }
-    state.ResumeTiming();
-    bool split = false;
-    in.DrainIntoBatch(&batch, static_cast<size_t>(rows), &split);
-    filter.ProcessBatch(batch, ctx);
-    batch.Clear();
-    while (!out.empty()) out.Pop();
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
-}
-BENCHMARK(BM_FilterBatch)->ArgName("rows")->Arg(64)->Arg(1024);
+BENCHMARK(BM_FilterScalar)
+    ->ArgNames({"rows", "budget"})
+    ->Args({64, 1})
+    ->Args({64, 64})
+    ->Args({1024, 1})
+    ->Args({1024, 1024});
 
 void BM_WindowAggScalar(benchmark::State& state) {
   const int64_t rows = state.range(0);
@@ -460,6 +432,7 @@ void BM_WindowAggScalar(benchmark::State& state) {
   agg.AddInput(&in);
   agg.AddOutput(&out);
   ManualExecContext ctx;
+  ctx.set_row_budget(static_cast<size_t>(state.range(1)));
   Timestamp ts = 0;
   for (auto _ : state) {
     state.PauseTiming();  // staging the burst is not the path under test
@@ -473,42 +446,20 @@ void BM_WindowAggScalar(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }
-BENCHMARK(BM_WindowAggScalar)->ArgName("rows")->Arg(64)->Arg(1024);
-
-void BM_WindowAggBatch(benchmark::State& state) {
-  const int64_t rows = state.range(0);
-  StreamBuffer in("in");
-  StreamBuffer out("out");
-  WindowAggregate agg("w", AggKind::kSum, 0, /*window=*/1024, /*slide=*/1024);
-  agg.AddInput(&in);
-  agg.AddOutput(&out);
-  ManualExecContext ctx;
-  ColumnBatch batch;
-  Timestamp ts = 0;
-  for (auto _ : state) {
-    state.PauseTiming();  // staging the burst is not the path under test
-    for (int64_t i = 0; i < rows; ++i) {
-      in.Push(Tuple::MakeData(ts, {Value(1.0)}));
-      ++ts;
-    }
-    state.ResumeTiming();
-    bool split = false;
-    in.DrainIntoBatch(&batch, static_cast<size_t>(rows), &split);
-    agg.ProcessBatch(batch, ctx);
-    batch.Clear();
-    while (!out.empty()) out.Pop();
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
-}
-BENCHMARK(BM_WindowAggBatch)->ArgName("rows")->Arg(64)->Arg(1024);
+BENCHMARK(BM_WindowAggScalar)
+    ->ArgNames({"rows", "budget"})
+    ->Args({64, 1})
+    ->Args({64, 64})
+    ->Args({1024, 1})
+    ->Args({1024, 1024});
 
 /// The Figure-7 hot path — source -> 95% selection -> window aggregate ->
 /// sink — driven through the real executor. batch=0 is the scalar engine;
-/// batch=N enables columnar drains of up to N rows. Tuples arrive in bursts
-/// of 1024 so a large batch size actually sees full buffers (matching the
-/// backlog shape the paper's latency experiment creates on the fast
-/// stream). items/s across the batch arg column is the headline
-/// batch-vs-scalar comparison of BENCH_core.json.
+/// batch=N lets one step of a row operator take a run of up to N rows.
+/// Tuples arrive in bursts of 1024 so a large batch size actually sees full
+/// buffers (matching the backlog shape the paper's latency experiment
+/// creates on the fast stream). items/s across the batch arg column is the
+/// headline batch-vs-scalar comparison of BENCH_core.json.
 void BM_Fig7FilterWindowChain(benchmark::State& state) {
   const size_t batch_size = static_cast<size_t>(state.range(0));
   constexpr int64_t kBurst = 1024;
@@ -517,7 +468,6 @@ void BM_Fig7FilterWindowChain(benchmark::State& state) {
   Filter* filter = builder.AddFilter("F", [](const Tuple& t) {
     return t.value(0).AsDouble() >= 0.05;  // the paper's 95% selectivity
   });
-  filter->set_compare_spec(0, FilterCmp::kGe, 0.05);
   WindowAggregate* agg = builder.AddWindowAggregate(
       "W", AggKind::kSum, 0, /*window=*/1024, /*slide=*/1024);
   Sink* sink = builder.AddSink("OUT");
@@ -547,7 +497,7 @@ void BM_Fig7FilterWindowChain(benchmark::State& state) {
     executor.RunUntilIdle();
   }
   state.SetItemsProcessed(state.iterations() * kBurst);
-  state.SetLabel(batch_size == 0 ? "scalar engine" : "columnar batches");
+  state.SetLabel(batch_size == 0 ? "scalar engine" : "row runs");
 }
 BENCHMARK(BM_Fig7FilterWindowChain)
     ->ArgName("batch")
@@ -557,13 +507,14 @@ BENCHMARK(BM_Fig7FilterWindowChain)
     ->Arg(1024);
 
 // --- Sharded engine: shards=1 vs shards=4 on the figure workloads --------
-// (ROADMAP item 1; docs/execution_model.md "Sharded execution"). On this
-// one-core bench host the headline is *virtual-time* throughput — the
-// virtual_tuples_per_sec counter. Parallel shards burn virtual CPU
-// concurrently (the epoch barrier advances the clock by the MAX per-shard
-// cost, not the sum), so a balanced 4-shard partition should clear >= 2x
-// the scalar engine's virtual throughput on the same workload; wall-clock
-// items/s on one core only shows the barrier overhead.
+// (docs/execution_model.md "Sharded execution"). Both run with
+// UseRealTime(): the shards step on worker threads, so the main thread's
+// CPU time would undercount their work and inflate items/s. items/s is
+// therefore wall-clock throughput. The virtual_tuples_per_sec counter is
+// the virtual-time figure: parallel shards burn virtual CPU concurrently
+// (the epoch barrier advances the clock by the MAX per-shard cost, not the
+// sum), so a balanced 4-shard partition clears more virtual throughput
+// than the scalar engine whatever the wall clock says.
 
 /// Four independent fig7-style chains (source -> 95% filter -> tumbling
 /// window sum -> sink), stream ids 0-3 — which FNV-partition one chain per
@@ -580,7 +531,6 @@ void BM_ShardedFig7Chains(benchmark::State& state) {
     Filter* filter = builder.AddFilter(
         "F" + std::to_string(i),
         [](const Tuple& t) { return t.value(0).AsDouble() >= 0.05; });
-    filter->set_compare_spec(0, FilterCmp::kGe, 0.05);
     WindowAggregate* agg = builder.AddWindowAggregate(
         "W" + std::to_string(i), AggKind::kSum, 0, /*window=*/1024,
         /*slide=*/1024);
@@ -625,7 +575,11 @@ void BM_ShardedFig7Chains(benchmark::State& state) {
       vseconds > 0 ? static_cast<double>(tuples) / vseconds : 0;
   state.SetLabel(shards > 1 ? "parallel shards" : "scalar dfs");
 }
-BENCHMARK(BM_ShardedFig7Chains)->ArgName("shards")->Arg(1)->Arg(4);
+BENCHMARK(BM_ShardedFig7Chains)
+    ->ArgName("shards")
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime();
 
 /// Four independent fig8-style union pairs (two streams -> filters ->
 /// ordered union -> sink). Each pair's streams land on different shards,
@@ -692,7 +646,11 @@ void BM_ShardedFig8Unions(benchmark::State& state) {
       vseconds > 0 ? static_cast<double>(tuples) / vseconds : 0;
   state.SetLabel(shards > 1 ? "parallel shards" : "scalar dfs");
 }
-BENCHMARK(BM_ShardedFig8Unions)->ArgName("shards")->Arg(1)->Arg(4);
+BENCHMARK(BM_ShardedFig8Unions)
+    ->ArgName("shards")
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime();
 
 void BM_PlanParser(benchmark::State& state) {
   constexpr char kPlan[] = R"(
@@ -762,6 +720,15 @@ int main(int argc, char** argv) {
   // benchmark's library_build_type reflects the benchmark *library*, not
   // this translation unit) and refuse to let a debug run pass silently.
   benchmark::AddCustomContext("build_type", dsms::bench::BuildType());
+  // The host and revision a result came from: CPUs this process may run on
+  // (what `nproc` prints) and the commit the build was configured at.
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  const int nproc = sched_getaffinity(0, sizeof(cpus), &cpus) == 0
+                        ? CPU_COUNT(&cpus)
+                        : static_cast<int>(sysconf(_SC_NPROCESSORS_ONLN));
+  benchmark::AddCustomContext("nproc", std::to_string(nproc));
+  benchmark::AddCustomContext("git_sha", DSMS_GIT_SHA);
   dsms::bench::WarnIfDebugBuild();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

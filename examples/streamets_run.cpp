@@ -11,9 +11,9 @@
 //
 // --trace writes a Chrome trace-event JSON of the run (open in Perfetto;
 // it overrides any `trace` statement in the file). --metrics writes the
-// unified metrics snapshot as one JSON object. --batch N enables columnar
-// batch execution with N rows per batch (overrides the file's `batch`
-// statement; see docs/batching.md).
+// unified metrics snapshot as one JSON object. --batch N enables batch
+// mode: one step of a row operator takes a run of up to N data tuples
+// (overrides the file's `batch` statement; see docs/batching.md).
 //
 // Demo experiment (also a syntax reference):
 //
@@ -51,7 +51,7 @@ const std::vector<dsms::FlagHelp> kFlags = {
      "write a Chrome trace of the run (overrides the file's trace line)"},
     {"--metrics", "PATH", "write the metrics snapshot as one JSON object"},
     {"--batch", "N",
-     "columnar batch execution, N rows per batch (0 = scalar; overrides "
+     "batch mode: row runs of up to N tuples per step (0 = off; overrides "
      "the file's batch line)"},
     {"--shards", "N",
      "sharded execution with N worker shards (DFS only; overrides the "

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "core/column_batch.h"
 
 namespace dsms {
 
@@ -168,41 +167,6 @@ void StreamBuffer::RestoreSnapshot(std::vector<Tuple> tuples,
   // An image that under-reports the high-water mark (it can never be below
   // the restored occupancy) is clamped so shed/overload decisions stay sane.
   high_water_ = high_water >= count_ ? high_water : count_;
-}
-
-size_t StreamBuffer::DrainIntoBatch(ColumnBatch* batch, size_t max_rows,
-                                    bool* stopped_at_punctuation) {
-  DSMS_CHECK(batch != nullptr);
-  *stopped_at_punctuation = false;
-  size_t drained = 0;
-  while (count_ > 0 && drained < max_rows) {
-    if (slots_[head_].is_punctuation()) {
-      // A batch never crosses an ordering cut: leave the punctuation at the
-      // front for a scalar step. Only a mid-drain stop counts as a split —
-      // a punctuation-headed buffer simply yields an empty drain.
-      *stopped_at_punctuation = drained > 0;
-      break;
-    }
-    // Listener bookkeeping matches Pop(), but notifying from the slot
-    // *before* the move lets the tuple go straight into the batch's row
-    // spine — one move per drained row instead of PopInternal's two.
-    Tuple& front = slots_[head_];
-    if (!listeners_.empty()) NotifyPop(front);
-    batch->Append(std::move(front));
-    head_ = (head_ + 1) & mask_;
-    --count_;
-    DSMS_CHECK_GT(data_in_queue_, 0u);
-    --data_in_queue_;
-    ++drained;
-  }
-  if (drained > 0 && tracker_ != nullptr) {
-    if (count_ == 0) {
-      tracker_->NoteDrained(tracker_consumer_);
-    } else {
-      tracker_->NoteFrontChanged(tracker_consumer_);
-    }
-  }
-  return drained;
 }
 
 size_t StreamBuffer::DrainInto(std::vector<Tuple>* out) {

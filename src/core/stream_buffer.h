@@ -14,7 +14,6 @@
 
 namespace dsms {
 
-class ColumnBatch;
 class StreamBuffer;
 
 /// Producer-side interception for cross-shard arcs (parallel sharded
@@ -169,18 +168,6 @@ class StreamBuffer {
   /// returns how many were drained. Bookkeeping matches popping each tuple
   /// individually. `out` may be nullptr to discard the tuples.
   size_t DrainInto(std::vector<Tuple>* out);
-
-  /// Drains up to `max_rows` consecutive *data* tuples from the front into
-  /// `*batch` (appending, FIFO order) and returns how many were moved. The
-  /// drain stops early at the first punctuation tuple — punctuation never
-  /// enters a batch, so a batch can never span an ETS/ordering cut; the
-  /// punctuation stays at the front for a scalar step to absorb. When the
-  /// stop reason was a punctuation encountered *after* at least one data
-  /// tuple was taken, `*stopped_at_punctuation` is set true (a forced batch
-  /// split); otherwise it is set false. Pop bookkeeping matches popping
-  /// each tuple individually (per-tuple OnPop, one tracker notification).
-  size_t DrainIntoBatch(ColumnBatch* batch, size_t max_rows,
-                        bool* stopped_at_punctuation);
 
   /// Lifetime counters, split by tuple kind.
   uint64_t total_pushed() const { return total_pushed_; }

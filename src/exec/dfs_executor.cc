@@ -42,12 +42,8 @@ bool DfsExecutor::RunStep() {
   }
 
   Operator* op = graph_->op(current_);
-  StepResult result;
-  if (!TryBatchStep(op, &result)) {
-    result = op->Step(ctx_);
-    ChargeStep(*op, result);
-    if (config_.batch_size > 0) ++stats_.batch_fallback_steps;
-  }
+  const StepResult result = op->Step(ctx_);
+  ChargeStep(*op, result);
   UpdateIdleTracker(op, result);
 
   // Next-Operator-Selection.

@@ -29,16 +29,17 @@ struct ExecStats {
   uint64_t idle_returns = 0;
   /// Scans over the operator table looking for runnable work.
   uint64_t work_scans = 0;
-  /// Columnar batches drained and processed (batch mode only).
+  /// Row runs stepped (batch mode only; Operator::StepRun).
   uint64_t batches = 0;
-  /// Data rows carried by those batches (batch_rows / batches = mean batch
-  /// occupancy; every such row is also counted in data_steps).
+  /// Data rows carried by those runs (batch_rows / batches = mean run
+  /// length; every such row is also counted in data_steps).
   uint64_t batch_rows = 0;
-  /// Batch drains stopped early by a punctuation mid-buffer (the ordering
-  /// cut a batch is never allowed to span).
+  /// Runs stopped early by a punctuation mid-buffer (the ordering cut a run
+  /// is never allowed to span).
   uint64_t batch_punct_splits = 0;
-  /// Steps that fell back to the scalar path while batch mode was on
-  /// (operator without a kernel, punctuation at the front, fan-in).
+  /// Steps that were not runs while batch mode was on (an operator that is
+  /// not a single-input row operator, a punctuation at the front, an empty
+  /// probe).
   uint64_t batch_fallback_steps = 0;
 
   uint64_t total_steps() const {

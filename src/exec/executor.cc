@@ -17,6 +17,7 @@ Executor::Executor(QueryGraph* graph, VirtualClock* clock, ExecConfig config)
       tracer_(config.tracer),
       ets_gate_(config.ets),
       ctx_(clock) {
+  ctx_.set_row_budget(config_.batch_size);
   DSMS_CHECK(graph != nullptr);
   DSMS_CHECK(clock != nullptr);
   DSMS_CHECK(graph->validated());
@@ -117,9 +118,21 @@ void Executor::LoadState(StateReader& r) {
 
 void Executor::ChargeStep(const Operator& op, const StepResult& result) {
   const Timestamp start = clock_->now();
+  const bool batching = config_.batch_size > 0;
   StepKind kind;
   Duration cost;
-  if (result.processed_data) {
+  if (result.run_rows > 0) {
+    // Each row of a run is charged exactly one data step, in one clock
+    // advance.
+    stats_.data_steps += result.run_rows;
+    kind = StepKind::kData;
+    cost = config_.costs.data_step * static_cast<Duration>(result.run_rows);
+    if (batching) {
+      ++stats_.batches;
+      stats_.batch_rows += result.run_rows;
+      if (result.run_stopped_at_punctuation) ++stats_.batch_punct_splits;
+    }
+  } else if (result.processed_data) {
     ++stats_.data_steps;
     kind = StepKind::kData;
     cost = config_.costs.data_step;
@@ -132,48 +145,21 @@ void Executor::ChargeStep(const Operator& op, const StepResult& result) {
     kind = StepKind::kEmpty;
     cost = config_.costs.empty_step;
   }
+  if (batching && result.run_rows == 0) ++stats_.batch_fallback_steps;
   // Virtual time lost to disk work under an injected disk_stall fault is
   // charged to the step that performed the spill/load.
   cost += result.storage_stall;
   clock_->Advance(cost);
-  if (tracer_ != nullptr) tracer_->RecordStep(op.id(), start, cost, kind);
-}
-
-bool Executor::TryBatchStep(Operator* op, StepResult* result) {
-  if (config_.batch_size == 0 || !op->SupportsBatch() ||
-      op->num_inputs() != 1) {
-    return false;
+  if (tracer_ == nullptr) return;
+  if (batching && result.run_rows > 0) {
+    // With batching on, a run is one kBatchDrain slice instead of `rows`
+    // kStep slices.
+    tracer_->RecordBatchDrain(op.id(), start, cost,
+                              static_cast<int64_t>(result.run_rows),
+                              result.run_stopped_at_punctuation);
+  } else {
+    tracer_->RecordStep(op.id(), start, cost, kind);
   }
-  StreamBuffer* in = op->input(0);
-  if (in->empty() || in->Front().is_punctuation()) return false;
-
-  const Timestamp start = clock_->now();
-  bool punct_split = false;
-  const size_t rows =
-      in->DrainIntoBatch(&batch_, config_.batch_size, &punct_split);
-  DSMS_CHECK_GT(rows, 0u);
-  op->ProcessBatch(batch_, ctx_);
-  batch_.Clear();
-
-  // Each row is charged exactly what its scalar data step would have cost,
-  // in one clock advance; the batch is one kBatchDrain slice instead of
-  // `rows` kStep slices.
-  const Duration cost =
-      config_.costs.data_step * static_cast<Duration>(rows);
-  stats_.data_steps += rows;
-  ++stats_.batches;
-  stats_.batch_rows += rows;
-  if (punct_split) ++stats_.batch_punct_splits;
-  clock_->Advance(cost);
-  if (tracer_ != nullptr) {
-    tracer_->RecordBatchDrain(op->id(), start, cost,
-                              static_cast<int64_t>(rows), punct_split);
-  }
-
-  result->processed_data = true;
-  result->more = !in->empty();
-  result->yield = AnyOutputNonEmpty(*op);
-  return true;
 }
 
 void Executor::UpdateIdleTracker(Operator* op, const StepResult& result) {

@@ -8,7 +8,6 @@
 
 #include "common/clock.h"
 #include "common/time.h"
-#include "core/column_batch.h"
 #include "core/ready_tracker.h"
 #include "exec/ets_policy.h"
 #include "exec/exec_stats.h"
@@ -74,11 +73,12 @@ struct ExecConfig {
   /// the frontier tracker (frontier/frontier_tracker.h).
   LeasePolicy lease;
   SchedulerMode scheduler = SchedulerMode::kReadyQueue;
-  /// Maximum rows per columnar batch; 0 (the default) disables batch mode.
-  /// When > 0, executors drain up to this many consecutive data tuples into
-  /// a ColumnBatch and hand it to operators with a batch kernel
-  /// (Operator::SupportsBatch); everything else falls back to the scalar
-  /// step path. Batches never span a punctuation (docs/batching.md).
+  /// Row budget of one step; 0 (the default) disables batch mode. When > 0,
+  /// one step of a single-input row operator consumes a run of up to this
+  /// many consecutive data tuples (Operator::StepRun; 0 runs one row per
+  /// step), and the exec.batch.* counters and kBatchDrain trace slices
+  /// account for the runs. Runs never span a punctuation
+  /// (docs/batching.md).
   size_t batch_size = 0;
   /// Execution tracer (owned by the caller, must outlive the executor);
   /// null (the default) disables tracing — every hook is one null check.
@@ -169,20 +169,11 @@ class Executor {
     VirtualClock* clock_;
   };
 
-  /// Advances the clock per the cost model, bumps step counters, and (when
-  /// tracing) records the step slice for `op`'s track.
+  /// Advances the clock per the cost model (a run of `run_rows` rows costs
+  /// that many data steps), bumps step counters — with batch mode on also
+  /// the exec.batch.* counters: a run is a batch, any other step a
+  /// fallback — and (when tracing) records the step slice for `op`'s track.
   void ChargeStep(const Operator& op, const StepResult& result);
-
-  /// Batch fast path: when batch mode is on (config_.batch_size > 0), `op`
-  /// has a batch kernel, a single input, and data at the front, drains up
-  /// to batch_size consecutive data tuples into the scratch batch, runs the
-  /// kernel, charges data_step per row, and synthesizes `result` as if the
-  /// rows had been stepped one by one. Returns false (leaving `result`
-  /// untouched) when any precondition fails — callers then run the scalar
-  /// step. Never consumes punctuation: a punctuation at the front or
-  /// mid-buffer is left for the scalar path, so batching cannot reorder
-  /// tuples across an ordering cut.
-  bool TryBatchStep(Operator* op, StepResult* result);
 
   /// Updates the IWP idle tracker for `op` after a step.
   void UpdateIdleTracker(Operator* op, const StepResult& result);
@@ -238,10 +229,6 @@ class Executor {
   std::map<int, IdleWaitTracker> idle_trackers_;
   /// Candidate set maintained by buffer notifications (kReadyQueue mode).
   ReadyTracker ready_;
-  /// Scratch batch reused across TryBatchStep calls (capacity persists).
-  /// Always empty between executor steps — a checkpoint can never observe
-  /// in-flight batched rows (docs/batching.md).
-  ColumnBatch batch_;
 };
 
 }  // namespace dsms

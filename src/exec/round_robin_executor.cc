@@ -26,15 +26,11 @@ void RoundRobinExecutor::MarkBlockedIwp(Operator* op) {
 }
 
 bool RoundRobinExecutor::StepOperator(Operator* op) {
-  StepResult result;
-  if (!TryBatchStep(op, &result)) {
-    result = op->Step(ctx_);
-    ChargeStep(*op, result);
-    if (config_.batch_size > 0) ++stats_.batch_fallback_steps;
-  }
+  const StepResult result = op->Step(ctx_);
+  ChargeStep(*op, result);
   UpdateIdleTracker(op, result);
-  // A batch spends one quantum unit regardless of its row count: the
-  // quantum bounds consecutive *scheduling decisions*, not rows.
+  // A run spends one quantum unit regardless of its row count: the quantum
+  // bounds consecutive *scheduling decisions*, not rows.
   ++used_in_quantum_;
   if (!result.more || used_in_quantum_ >= quantum_) {
     AdvanceCursor();

@@ -170,12 +170,8 @@ bool ShardedExecutor::RunDeterministicStep() {
   }
 
   Operator* op = graph_->op(current_);
-  StepResult result;
-  if (!TryBatchStep(op, &result)) {
-    result = op->Step(ctx_);
-    ChargeStep(*op, result);
-    if (config_.batch_size > 0) ++stats_.batch_fallback_steps;
-  }
+  const StepResult result = op->Step(ctx_);
+  ChargeStep(*op, result);
   ++shard_steps_[static_cast<size_t>(
       plan_.op_shard[static_cast<size_t>(op->id())])];
   UpdateIdleTracker(op, result);
@@ -332,6 +328,8 @@ void ShardedExecutor::StepOperator(int shard, Operator* op) {
   const StepResult result = op->Step(st.ctx);
   Duration cost;
   if (result.processed_data) {
+    // Parallel shards keep the default row budget of one, so a run here is
+    // a single row.
     ++st.stats.data_steps;
     cost = config_.costs.data_step;
   } else if (result.processed_punctuation) {

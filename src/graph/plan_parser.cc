@@ -330,34 +330,27 @@ Status PlanAssembler::AddStatement(const Statement& s) {
       const std::string& cmp = it->second;
       int f = static_cast<int>(field);
       Filter::Predicate predicate;
-      FilterCmp batch_cmp;
       if (cmp == "lt") {
-        batch_cmp = FilterCmp::kLt;
         predicate = [f, value](const Tuple& t) {
           return t.value(f).AsDouble() < value;
         };
       } else if (cmp == "le") {
-        batch_cmp = FilterCmp::kLe;
         predicate = [f, value](const Tuple& t) {
           return t.value(f).AsDouble() <= value;
         };
       } else if (cmp == "gt") {
-        batch_cmp = FilterCmp::kGt;
         predicate = [f, value](const Tuple& t) {
           return t.value(f).AsDouble() > value;
         };
       } else if (cmp == "ge") {
-        batch_cmp = FilterCmp::kGe;
         predicate = [f, value](const Tuple& t) {
           return t.value(f).AsDouble() >= value;
         };
       } else if (cmp == "eq") {
-        batch_cmp = FilterCmp::kEq;
         predicate = [f, value](const Tuple& t) {
           return t.value(f).AsDouble() == value;
         };
       } else if (cmp == "ne") {
-        batch_cmp = FilterCmp::kNe;
         predicate = [f, value](const Tuple& t) {
           return t.value(f).AsDouble() != value;
         };
@@ -368,9 +361,6 @@ Status PlanAssembler::AddStatement(const Statement& s) {
       }
       Filter* filter = builder_.AddFilter(s.name, std::move(predicate));
       filter->set_required_numeric_field(f);
-      // Declarative form of the same predicate: lets the batch kernel run
-      // the comparison over a column instead of row-wise Predicate calls.
-      filter->set_compare_spec(f, batch_cmp, value);
       op = filter;
     }
   } else if (s.type == "project") {

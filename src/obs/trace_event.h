@@ -47,11 +47,11 @@ enum class TraceEventType : uint8_t {
   /// Recovery completed on startup (op_id -1); `arg` is the number of WAL
   /// records replayed, `dur` reused to carry the recovered checkpoint id.
   kRecovery = 11,
-  /// One columnar batch drain-and-process at operator `op_id`: `arg` is the
-  /// number of data rows in the batch, `dur` the charged cost (rows x
-  /// data_step), `detail` 1 when the drain was force-split by a punctuation
-  /// mid-buffer (0 otherwise). Replaces the per-tuple kStep slices the
-  /// scalar path would have recorded for those rows.
+  /// One row run at operator `op_id` with batch mode on: `arg` is the
+  /// number of data rows in the run, `dur` the charged cost (rows x
+  /// data_step), `detail` 1 when a punctuation mid-buffer stopped the run
+  /// (0 otherwise). Replaces the per-tuple kStep slices the same rows
+  /// record with batch mode off.
   kBatchDrain = 12,
   /// Frontier coordination event at source `op_id`: lease expiries,
   /// revivals, health-state changes, violations, and promise revocations.

@@ -91,9 +91,9 @@ class Tracer {
                     TraceEventType::kCheckpoint, 0});
   }
 
-  /// One columnar batch of `rows` data tuples was drained and processed at
-  /// operator `op_id`, charged `cost`; `punct_split` marks a drain stopped
-  /// early by mid-buffer punctuation.
+  /// One run of `rows` data tuples was processed at operator `op_id`,
+  /// charged `cost`; `punct_split` marks a run stopped early by mid-buffer
+  /// punctuation.
   void RecordBatchDrain(int op_id, Timestamp start, Duration cost,
                         int64_t rows, bool punct_split) {
     Push(TraceEvent{start, cost, rows, op_id, TraceEventType::kBatchDrain,

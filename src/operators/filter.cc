@@ -6,26 +6,10 @@
 #include <vector>
 
 #include "common/check.h"
-#include "core/column_batch.h"
 #include "core/schema.h"
 #include "recovery/state_codec.h"
 
 namespace dsms {
-namespace {
-
-/// The comparison loop, one instantiation per FilterCmp so the compiler sees
-/// a branch-free predicate over a contiguous double column.
-template <typename Cmp>
-void SelectColumn(const double* column, size_t n, double value,
-                  std::vector<uint8_t>* selection, Cmp cmp) {
-  selection->resize(n);
-  uint8_t* out = selection->data();
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = cmp(column[i], value) ? 1 : 0;
-  }
-}
-
-}  // namespace
 
 Filter::Filter(std::string name, Predicate predicate)
     : Operator(std::move(name)), predicate_(std::move(predicate)) {
@@ -45,67 +29,12 @@ Result<std::optional<Schema>> Filter::DeriveSchema(
 }
 
 StepResult Filter::Step(ExecContext& ctx) {
-  (void)ctx;
-  ++stats_.steps;
-  StepResult result;
-  if (!input(0)->empty()) {
-    Tuple tuple = TakeInput(0);
-    if (tuple.is_punctuation()) {
-      result.processed_punctuation = true;
-      Emit(std::move(tuple));
-    } else {
-      result.processed_data = true;
-      if (predicate_(tuple)) Emit(std::move(tuple));
-    }
-  }
-  result.more = !input(0)->empty();
-  result.yield = AnyOutputNonEmpty(*this);
-  return result;
-}
-
-void Filter::ProcessBatch(ColumnBatch& batch, ExecContext& ctx) {
-  (void)ctx;
-  const size_t n = batch.size();
-  NoteBatchInput(n);
-  const double* column =
-      compare_field_ >= 0 ? batch.NumericColumn(compare_field_) : nullptr;
-  if (column != nullptr) {
-    // Vectorized path: selection vector from a tight column loop, then
-    // emit the selected rows in order.
-    switch (compare_cmp_) {
-      case FilterCmp::kLt:
-        SelectColumn(column, n, compare_value_, &selection_,
-                     [](double a, double b) { return a < b; });
-        break;
-      case FilterCmp::kLe:
-        SelectColumn(column, n, compare_value_, &selection_,
-                     [](double a, double b) { return a <= b; });
-        break;
-      case FilterCmp::kGt:
-        SelectColumn(column, n, compare_value_, &selection_,
-                     [](double a, double b) { return a > b; });
-        break;
-      case FilterCmp::kGe:
-        SelectColumn(column, n, compare_value_, &selection_,
-                     [](double a, double b) { return a >= b; });
-        break;
-      case FilterCmp::kEq:
-        SelectColumn(column, n, compare_value_, &selection_,
-                     [](double a, double b) { return a == b; });
-        break;
-      case FilterCmp::kNe:
-        SelectColumn(column, n, compare_value_, &selection_,
-                     [](double a, double b) { return a != b; });
-        break;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (selection_[i]) Emit(batch.TakeRow(i));
-    }
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (predicate_(batch.row(i))) Emit(batch.TakeRow(i));
-  }
+  return StepRun(
+      ctx,
+      [this](Tuple tuple) {
+        if (predicate_(tuple)) Emit(std::move(tuple));
+      },
+      [this](Tuple punctuation) { Emit(std::move(punctuation)); });
 }
 
 RandomDropFilter::RandomDropFilter(std::string name, double selectivity,
@@ -118,33 +47,12 @@ RandomDropFilter::RandomDropFilter(std::string name, double selectivity,
 }
 
 StepResult RandomDropFilter::Step(ExecContext& ctx) {
-  (void)ctx;
-  ++stats_.steps;
-  StepResult result;
-  if (!input(0)->empty()) {
-    Tuple tuple = TakeInput(0);
-    if (tuple.is_punctuation()) {
-      result.processed_punctuation = true;
-      Emit(std::move(tuple));
-    } else {
-      result.processed_data = true;
-      if (rng_.NextBernoulli(selectivity_)) Emit(std::move(tuple));
-    }
-  }
-  result.more = !input(0)->empty();
-  result.yield = AnyOutputNonEmpty(*this);
-  return result;
-}
-
-void RandomDropFilter::ProcessBatch(ColumnBatch& batch, ExecContext& ctx) {
-  (void)ctx;
-  const size_t n = batch.size();
-  NoteBatchInput(n);
-  for (size_t i = 0; i < n; ++i) {
-    // One draw per data row, in order: the RNG stream stays byte-identical
-    // to the scalar path (and to a recovery replay).
-    if (rng_.NextBernoulli(selectivity_)) Emit(batch.TakeRow(i));
-  }
+  return StepRun(
+      ctx,
+      [this](Tuple tuple) {
+        if (rng_.NextBernoulli(selectivity_)) Emit(std::move(tuple));
+      },
+      [this](Tuple punctuation) { Emit(std::move(punctuation)); });
 }
 
 void RandomDropFilter::SaveState(StateWriter& w) const {

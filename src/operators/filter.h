@@ -12,17 +12,6 @@
 
 namespace dsms {
 
-/// Numeric comparison operators a Filter can declare for its vectorized
-/// batch kernel (mirrors the plan DSL's op= values).
-enum class FilterCmp {
-  kLt = 0,
-  kLe = 1,
-  kGt = 2,
-  kGe = 3,
-  kEq = 4,
-  kNe = 5,
-};
-
 /// Selection: forwards data tuples satisfying a predicate, drops the rest.
 /// Non-IWP: punctuation tuples pass through unchanged (Section 4.2).
 class Filter : public Operator {
@@ -39,37 +28,14 @@ class Filter : public Operator {
     required_numeric_field_ = field;
   }
 
-  /// Declares that the predicate is exactly `value(field) <cmp> value` over
-  /// AsDouble coercion (the DSL comparison filters). The batch kernel then
-  /// runs a tight selection loop over the extracted numeric column instead
-  /// of calling the std::function per row; the predicate remains
-  /// authoritative for the scalar path and for rows the column view cannot
-  /// represent.
-  void set_compare_spec(int field, FilterCmp cmp, double value) {
-    set_required_numeric_field(field);
-    compare_field_ = field;
-    compare_cmp_ = cmp;
-    compare_value_ = value;
-  }
-
   Result<std::optional<Schema>> DeriveSchema(
       const std::vector<std::optional<Schema>>& inputs) const override;
 
   StepResult Step(ExecContext& ctx) override;
 
-  bool SupportsBatch() const override { return true; }
-  void ProcessBatch(ColumnBatch& batch, ExecContext& ctx) override;
-
  private:
   Predicate predicate_;
   int required_numeric_field_ = -1;
-  /// Vectorizable comparison (set_compare_spec); compare_field_ < 0 = none.
-  int compare_field_ = -1;
-  FilterCmp compare_cmp_ = FilterCmp::kLt;
-  double compare_value_ = 0.0;
-  /// Selection-vector scratch reused across batches (no steady-state
-  /// allocation).
-  std::vector<uint8_t> selection_;
 };
 
 /// Selection with a Bernoulli predicate: each data tuple independently
@@ -82,12 +48,9 @@ class RandomDropFilter : public Operator {
 
   double selectivity() const { return selectivity_; }
 
+  /// One Bernoulli draw per data row, in arrival order, whatever the row
+  /// budget: the RNG sequence is a function of the input alone.
   StepResult Step(ExecContext& ctx) override;
-
-  /// Batch kernel: one Bernoulli draw per row, in arrival order — the RNG
-  /// consumes exactly the sequence the scalar path would.
-  bool SupportsBatch() const override { return true; }
-  void ProcessBatch(ColumnBatch& batch, ExecContext& ctx) override;
 
   /// The RNG position is engine-behavior state: replay after recovery must
   /// draw the same pass/drop sequence the original run would have.

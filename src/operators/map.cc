@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "core/column_batch.h"
 #include "core/value.h"
 
 namespace dsms {
@@ -16,34 +15,13 @@ MapOp::MapOp(std::string name, Transform transform)
 }
 
 StepResult MapOp::Step(ExecContext& ctx) {
-  (void)ctx;
-  ++stats_.steps;
-  StepResult result;
-  if (!input(0)->empty()) {
-    Tuple tuple = TakeInput(0);
-    if (tuple.is_punctuation()) {
-      result.processed_punctuation = true;
-      Emit(std::move(tuple));
-    } else {
-      result.processed_data = true;
-      tuple.mutable_values() = transform_(tuple.values());
-      Emit(std::move(tuple));
-    }
-  }
-  result.more = !input(0)->empty();
-  result.yield = AnyOutputNonEmpty(*this);
-  return result;
-}
-
-void MapOp::ProcessBatch(ColumnBatch& batch, ExecContext& ctx) {
-  (void)ctx;
-  const size_t n = batch.size();
-  NoteBatchInput(n);
-  for (size_t i = 0; i < n; ++i) {
-    Tuple tuple = batch.TakeRow(i);
-    tuple.mutable_values() = transform_(tuple.values());
-    Emit(std::move(tuple));
-  }
+  return StepRun(
+      ctx,
+      [this](Tuple tuple) {
+        tuple.mutable_values() = transform_(tuple.values());
+        Emit(std::move(tuple));
+      },
+      [this](Tuple punctuation) { Emit(std::move(punctuation)); });
 }
 
 CopyOp::CopyOp(std::string name) : Operator(std::move(name)) {}

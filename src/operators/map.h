@@ -34,9 +34,6 @@ class MapOp : public Operator {
 
   StepResult Step(ExecContext& ctx) override;
 
-  bool SupportsBatch() const override { return true; }
-  void ProcessBatch(ColumnBatch& batch, ExecContext& ctx) override;
-
  private:
   Transform transform_;
   std::optional<Schema> output_schema_;

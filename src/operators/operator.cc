@@ -41,12 +41,6 @@ Result<std::optional<Schema>> Operator::DeriveSchema(
   return inputs[0];
 }
 
-void Operator::ProcessBatch(ColumnBatch& batch, ExecContext& ctx) {
-  (void)batch;
-  (void)ctx;
-  DSMS_CHECK(false);  // Executors gate on SupportsBatch() first.
-}
-
 bool Operator::HasWork() const {
   for (const StreamBuffer* in : inputs_) {
     if (!in->empty()) return true;

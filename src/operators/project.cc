@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "common/strings.h"
-#include "core/column_batch.h"
 #include "core/value.h"
 
 namespace dsms {
@@ -35,41 +34,16 @@ Result<std::optional<Schema>> Project::DeriveSchema(
 }
 
 StepResult Project::Step(ExecContext& ctx) {
-  (void)ctx;
-  ++stats_.steps;
-  StepResult result;
-  if (!input(0)->empty()) {
-    Tuple tuple = TakeInput(0);
-    if (tuple.is_punctuation()) {
-      result.processed_punctuation = true;
-      Emit(std::move(tuple));
-    } else {
-      result.processed_data = true;
-      std::vector<Value> projected;
-      projected.reserve(keep_indices_.size());
-      for (int idx : keep_indices_) projected.push_back(tuple.value(idx));
-      tuple.mutable_values() = std::move(projected);
-      Emit(std::move(tuple));
-    }
-  }
-  result.more = !input(0)->empty();
-  result.yield = AnyOutputNonEmpty(*this);
-  return result;
-}
-
-void Project::ProcessBatch(ColumnBatch& batch, ExecContext& ctx) {
-  (void)ctx;
-  const size_t n = batch.size();
-  NoteBatchInput(n);
-  std::vector<Value> projected;
-  for (size_t i = 0; i < n; ++i) {
-    Tuple tuple = batch.TakeRow(i);
-    projected.clear();
-    projected.reserve(keep_indices_.size());
-    for (int idx : keep_indices_) projected.push_back(tuple.value(idx));
-    tuple.mutable_values() = std::move(projected);
-    Emit(std::move(tuple));
-  }
+  return StepRun(
+      ctx,
+      [this](Tuple tuple) {
+        std::vector<Value> projected;
+        projected.reserve(keep_indices_.size());
+        for (int idx : keep_indices_) projected.push_back(tuple.value(idx));
+        tuple.mutable_values() = std::move(projected);
+        Emit(std::move(tuple));
+      },
+      [this](Tuple punctuation) { Emit(std::move(punctuation)); });
 }
 
 }  // namespace dsms

@@ -23,9 +23,6 @@ class Project : public Operator {
 
   StepResult Step(ExecContext& ctx) override;
 
-  bool SupportsBatch() const override { return true; }
-  void ProcessBatch(ColumnBatch& batch, ExecContext& ctx) override;
-
  private:
   std::vector<int> keep_indices_;
 };

@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "common/strings.h"
-#include "core/column_batch.h"
 #include "core/schema.h"
 #include "core/value.h"
 #include "recovery/state_codec.h"
@@ -73,21 +72,24 @@ int64_t WindowAggregate::WindowIndexHigh(Timestamp ts) const {
   return FloorDiv(ts, slide_);
 }
 
+void WindowAggregate::Add(Accumulator& acc, double v) {
+  if (acc.count == 0) {
+    acc.min = v;
+    acc.max = v;
+  } else {
+    acc.min = std::min(acc.min, v);
+    acc.max = std::max(acc.max, v);
+  }
+  ++acc.count;
+  acc.sum += v;
+}
+
 void WindowAggregate::Accumulate(const Tuple& tuple) {
   Timestamp ts = tuple.timestamp();
   double v = kind_ == AggKind::kCount ? 0.0 : tuple.value(field_).AsDouble();
   for (int64_t k = WindowIndexLow(ts); k <= WindowIndexHigh(ts); ++k) {
     if (k < next_emit_k_ && first_seen_) continue;  // Window already closed.
-    Accumulator& acc = accumulators_[k];
-    if (acc.count == 0) {
-      acc.min = v;
-      acc.max = v;
-    } else {
-      acc.min = std::min(acc.min, v);
-      acc.max = std::max(acc.max, v);
-    }
-    ++acc.count;
-    acc.sum += v;
+    Add(accumulators_[k], v);
   }
 }
 
@@ -132,6 +134,7 @@ void WindowAggregate::CloseWindowsUpTo(Timestamp bound) {
   // Window k closes when k*slide + window <= bound.
   int64_t closable_end = FloorDiv(bound - window_, slide_);
   while (next_emit_k_ <= closable_end) {
+    cached_ = nullptr;  // The current window's node is erased below.
     auto it = accumulators_.find(next_emit_k_);
     if (it != accumulators_.end()) {
       EmitWindow(next_emit_k_, it->second);
@@ -144,121 +147,69 @@ void WindowAggregate::CloseWindowsUpTo(Timestamp bound) {
 }
 
 StepResult WindowAggregate::Step(ExecContext& ctx) {
-  ++stats_.steps;
-  StepResult result;
-  if (!input(0)->empty()) {
-    Tuple tuple = TakeInput(0);
-    Timestamp ts;
-    if (tuple.is_punctuation()) {
-      result.processed_punctuation = true;
-      ts = tuple.timestamp();
-    } else {
-      result.processed_data = true;
-      if (!tuple.has_timestamp()) tuple.set_timestamp(ctx.now());
-      ts = tuple.timestamp();
-    }
-    if (!first_seen_) {
-      first_seen_ = true;
-      next_emit_k_ = WindowIndexLow(ts);
-    }
-    if (tuple.is_data()) Accumulate(tuple);
-    bound_ = std::max(bound_, ts);
-    CloseWindowsUpTo(bound_);
-    if (tuple.is_punctuation()) {
-      // Future outputs carry timestamps >= the next window's end; propagate
-      // that (stronger) bound downstream, deduplicated.
-      Timestamp next_end = next_emit_k_ * slide_ + window_;
-      if (next_end > last_punct_out_) {
-        last_punct_out_ = next_end;
-        Emit(Tuple::MakePunctuation(next_end));
-      }
-    }
-  }
-  result.more = !input(0)->empty();
-  result.yield = AnyOutputNonEmpty(*this);
-  return result;
+  return StepRun(
+      ctx,
+      [this, &ctx](Tuple row) {
+        // Latent rows are stamped on the fly; the clock does not move
+        // inside a run, so every row of a run gets the same stamp.
+        if (!row.has_timestamp()) row.set_timestamp(ctx.now());
+        ProcessRow(row);
+      },
+      [this](Tuple punctuation) {
+        ProcessPunctuation(punctuation.timestamp());
+      });
 }
 
-void WindowAggregate::ProcessBatch(ColumnBatch& batch, ExecContext& ctx) {
-  const size_t n = batch.size();
-  NoteBatchInput(n);
-  const double* column =
-      kind_ == AggKind::kCount ? nullptr : batch.NumericColumn(field_);
-  const bool columnar = batch.all_timestamped() &&
-                        (kind_ == AggKind::kCount || column != nullptr);
-  if (!columnar) {
-    // Row-wise reference loop: latent rows need stamping, or the field is
-    // not extractable as a numeric column.
-    for (size_t i = 0; i < n; ++i) {
-      Tuple& row = batch.mutable_row(i);
-      if (!row.has_timestamp()) row.set_timestamp(ctx.now());
-      const Timestamp ts = row.timestamp();
-      if (!first_seen_) {
-        first_seen_ = true;
-        next_emit_k_ = WindowIndexLow(ts);
-      }
-      Accumulate(row);
-      if (ts > bound_) bound_ = ts;
-      // CloseWindowsUpTo's loop runs iff next_emit_k_*slide + window <=
-      // bound; hoisting that test keeps the per-row cost of a
-      // window-interior tuple at one compare instead of a FloorDiv + call.
-      if (bound_ >= next_emit_k_ * slide_ + window_) CloseWindowsUpTo(bound_);
-    }
+void WindowAggregate::ProcessRow(const Tuple& row) {
+  const Timestamp ts = row.timestamp();
+  // A cache hit can never close a window: it accumulates into next_emit_k_
+  // itself, whose end the bound has not reached (invariant: bound_ <
+  // next_emit_k_*slide + window between rows).
+  if (cached_ != nullptr && ts >= cached_begin_ && ts < cached_end_) {
+    Add(*cached_,
+        kind_ == AggKind::kCount ? 0.0 : row.value(field_).AsDouble());
+    if (ts > bound_) bound_ = ts;
     return;
   }
-  // Columnar path: the timestamp and value columns drive the whole loop.
-  // The dominant row lands solely in the *current* window (next_emit_k_),
-  // so its accumulator is cached and the row costs two timestamp compares
-  // plus the arithmetic — no FloorDiv, no map lookup, no Tuple chase. Any
-  // row outside the cached band (window transition, overlap region of a
-  // sliding window, late or ahead-of-bound data) takes the general path,
-  // which also decides window closes. A cache hit can never close a
-  // window: it accumulates into next_emit_k_ itself, whose end the bound
-  // cannot have reached (loop invariant: bound_ < next_emit_k_*slide +
-  // window at row entry).
-  const Timestamp* ts_column = batch.timestamps().data();
-  Accumulator* cached = nullptr;
-  Timestamp cached_begin = 0;  // [begin, end): ts range whose ONLY window
-  Timestamp cached_end = 0;    // is next_emit_k_
-  for (size_t i = 0; i < n; ++i) {
-    const Timestamp ts = ts_column[i];
-    const double v = column != nullptr ? column[i] : 0.0;
-    if (cached != nullptr && ts >= cached_begin && ts < cached_end) {
-      if (cached->count == 0) {
-        cached->min = v;
-        cached->max = v;
-      } else {
-        cached->min = std::min(cached->min, v);
-        cached->max = std::max(cached->max, v);
-      }
-      ++cached->count;
-      cached->sum += v;
-      if (ts > bound_) bound_ = ts;
-      continue;
-    }
-    if (!first_seen_) {
-      first_seen_ = true;
-      next_emit_k_ = WindowIndexLow(ts);
-    }
-    Accumulate(batch.row(i));
-    if (ts > bound_) bound_ = ts;
-    if (bound_ >= next_emit_k_ * slide_ + window_) {
-      CloseWindowsUpTo(bound_);  // Erases map nodes: drop the cache.
-      cached = nullptr;
-    }
-    // (Re)establish the cache when this row's one-and-only window is the
-    // current one. The single-window band of window k is
-    // [max(k*slide, (k-1)*slide + window), min((k+1)*slide, k*slide +
-    // window)) — the whole window for tumbling, the non-overlap core when
-    // slide < window < 2*slide, empty otherwise (cache never engages).
-    const int64_t k = next_emit_k_;
-    const Timestamp begin = std::max(k * slide_, (k - 1) * slide_ + window_);
-    const Timestamp end = std::min((k + 1) * slide_, k * slide_ + window_);
-    if (ts >= begin && ts < end) {
-      cached = &accumulators_[k];
-      cached_begin = begin;
-      cached_end = end;
-    }
+  if (!first_seen_) {
+    first_seen_ = true;
+    next_emit_k_ = WindowIndexLow(ts);
+  }
+  Accumulate(row);
+  if (ts > bound_) bound_ = ts;
+  // CloseWindowsUpTo's loop runs iff next_emit_k_*slide + window <= bound;
+  // hoisting that test keeps the per-row cost of a window-interior tuple at
+  // one compare instead of a FloorDiv + call.
+  if (bound_ >= next_emit_k_ * slide_ + window_) CloseWindowsUpTo(bound_);
+  // (Re)establish the cache when this row's one-and-only window is the
+  // current one. The single-window band of window k is
+  // [max(k*slide, (k-1)*slide + window), min((k+1)*slide, k*slide +
+  // window)) — the whole window for tumbling, the non-overlap core when
+  // slide < window < 2*slide, empty otherwise (the cache never engages).
+  // The row has just accumulated into window k, so the node exists.
+  const int64_t k = next_emit_k_;
+  const Timestamp begin = std::max(k * slide_, (k - 1) * slide_ + window_);
+  const Timestamp end = std::min((k + 1) * slide_, k * slide_ + window_);
+  if (ts >= begin && ts < end) {
+    cached_ = &accumulators_[k];
+    cached_begin_ = begin;
+    cached_end_ = end;
+  }
+}
+
+void WindowAggregate::ProcessPunctuation(Timestamp ts) {
+  if (!first_seen_) {
+    first_seen_ = true;
+    next_emit_k_ = WindowIndexLow(ts);
+  }
+  bound_ = std::max(bound_, ts);
+  CloseWindowsUpTo(bound_);
+  // Future outputs carry timestamps >= the next window's end; propagate
+  // that (stronger) bound downstream, deduplicated.
+  Timestamp next_end = next_emit_k_ * slide_ + window_;
+  if (next_end > last_punct_out_) {
+    last_punct_out_ = next_end;
+    Emit(Tuple::MakePunctuation(next_end));
   }
 }
 
@@ -282,6 +233,7 @@ void WindowAggregate::SaveState(StateWriter& w) const {
 void WindowAggregate::LoadState(StateReader& r) {
   Operator::LoadState(r);
   accumulators_.clear();
+  cached_ = nullptr;
   uint32_t n = r.U32();
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
     int64_t k = r.I64();

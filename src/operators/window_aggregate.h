@@ -48,13 +48,6 @@ class WindowAggregate : public Operator {
 
   StepResult Step(ExecContext& ctx) override;
 
-  /// Batch kernel: per-row accumulation in arrival order with the
-  /// window-close check hoisted to a comparison against the next window
-  /// end (the common row neither opens nor closes a window). Punctuation
-  /// handling stays on the scalar path — batches hold data rows only.
-  bool SupportsBatch() const override { return true; }
-  void ProcessBatch(ColumnBatch& batch, ExecContext& ctx) override;
-
   /// Latent inputs are stamped on the fly (Section 5).
   bool stamps_latent() const override { return true; }
 
@@ -109,7 +102,12 @@ class WindowAggregate : public Operator {
   int64_t WindowIndexLow(Timestamp ts) const;
   int64_t WindowIndexHigh(Timestamp ts) const;
 
+  static void Add(Accumulator& acc, double v);
   void Accumulate(const Tuple& tuple);
+  /// Per-row work of a run: accumulates `row` (already stamped) and emits
+  /// every window its timestamp closes.
+  void ProcessRow(const Tuple& row);
+  void ProcessPunctuation(Timestamp ts);
   /// Emits every window whose end is <= bound.
   void CloseWindowsUpTo(Timestamp bound);
   void EmitWindow(int64_t k, const Accumulator& acc);
@@ -124,6 +122,13 @@ class WindowAggregate : public Operator {
   Timestamp bound_ = kMinTimestamp;
   Timestamp last_punct_out_ = kMinTimestamp;
   uint64_t windows_emitted_ = 0;
+  /// Accumulator of the current window (next_emit_k_) while rows land in
+  /// its single-window band [cached_begin_, cached_end_): such a row costs
+  /// two compares and the arithmetic, no FloorDiv and no map lookup. Null
+  /// whenever a close may have erased the node; never checkpointed.
+  Accumulator* cached_ = nullptr;
+  Timestamp cached_begin_ = 0;
+  Timestamp cached_end_ = 0;
 };
 
 }  // namespace dsms

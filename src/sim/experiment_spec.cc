@@ -918,8 +918,6 @@ void ExperimentReport::PublishTo(MetricsRegistry* registry) const {
                        static_cast<uint64_t>(peak_queue_total));
   registry->SetCounter("experiment.ets_generated", ets_generated);
   registry->SetCounter("experiment.fault_events", fault_events);
-  registry->SetCounter("experiment.frontier.lease_expired_ets",
-                       lease_expired_ets);
   registry->SetGauge("experiment.degraded", degraded ? 1.0 : 0.0);
   registry->SetCounter("experiment.shed_tuples", shed_tuples);
   registry->SetCounter("experiment.quarantined", quarantined);

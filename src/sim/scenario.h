@@ -102,8 +102,8 @@ struct ScenarioConfig {
   /// oracle for trace-equivalence tests).
   SchedulerMode scheduler = SchedulerMode::kReadyQueue;
 
-  /// Maximum rows per columnar batch; 0 (the default) keeps the scalar
-  /// tuple-at-a-time path. See ExecConfig::batch_size and docs/batching.md.
+  /// Row budget of one step; 0 (the default) turns batch mode off. See
+  /// ExecConfig::batch_size and docs/batching.md.
   size_t batch_size = 0;
 
   /// When true, every buffer push/pop in the run is folded into

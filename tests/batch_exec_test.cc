@@ -1,12 +1,12 @@
-// Columnar batch execution (ExecConfig::batch_size) is a pure execution-
-// strategy optimization: with the virtual cost model zeroed (so tuple
-// stamping cannot observe the coarser clock interleaving), a batched run
-// must deliver byte-identical sink output, generate the same ETS
-// punctuations, and charge the same per-row step accounting as the scalar
-// tuple-at-a-time path — across the whole fault-injection chaos matrix and
-// for every batch size. Batches must also never span a punctuation: a
-// mid-buffer punctuation force-splits the drain so IWP ordering decisions
-// see exactly the scalar sequence.
+// Batch mode (ExecConfig::batch_size) is a row budget on the one Step of a
+// row operator and a pure execution-strategy optimization: with the virtual
+// cost model zeroed (so tuple stamping cannot observe the coarser clock
+// interleaving), a batched run must deliver byte-identical sink output,
+// generate the same ETS punctuations, and charge the same per-row step
+// accounting as the tuple-at-a-time engine — across the whole
+// fault-injection chaos matrix and for every batch size. Runs must also
+// never span a punctuation: a mid-buffer punctuation stops the run so IWP
+// ordering decisions see exactly the scalar sequence.
 
 #include <string>
 #include <tuple>
@@ -17,7 +17,6 @@
 #include "common/check.h"
 #include "common/clock.h"
 #include "common/time.h"
-#include "core/column_batch.h"
 #include "core/stream_buffer.h"
 #include "core/tuple.h"
 #include "exec/dfs_executor.h"
@@ -34,8 +33,8 @@ namespace {
 
 const size_t kBatchSizes[] = {1, 7, 256};
 
-/// Zero every virtual cost: batch mode charges data_step per row in one
-/// clock advance instead of one advance per row, so the *intermediate*
+/// Zero every virtual cost: a run charges data_step per row in one clock
+/// advance instead of one advance per row, so the *intermediate*
 /// clock values differ. At zero cost the clock is a pure function of the
 /// event queue and the two paths become bit-for-bit comparable end to end.
 CostModel ZeroCosts() {
@@ -94,7 +93,7 @@ void ExpectBatchEquivalent(const ScenarioResult& scalar,
   EXPECT_EQ(scalar.punctuation_eliminated, batched.punctuation_eliminated)
       << label;
 
-  // Per-row accounting: every batched row is charged as one data step, so
+  // Per-row accounting: every row of a run is charged as one data step, so
   // the step-kind totals match the scalar run exactly.
   EXPECT_EQ(scalar.exec.data_steps, batched.exec.data_steps) << label;
   EXPECT_EQ(scalar.exec.punctuation_steps, batched.exec.punctuation_steps)
@@ -129,17 +128,12 @@ TEST_P(BatchChaosMatrixTest, SinkBytesAndEtsMatchScalar) {
                               " exec=" + std::to_string(executor) +
                               " batch=" + std::to_string(batch);
     ExpectBatchEquivalent(scalar, batched, label);
-    if (executor != 2) {
-      // DFS and round-robin have the batch fast path; the union shape runs
-      // every data row through a RandomDropFilter batch kernel.
-      EXPECT_GT(batched.exec.batches, 0u) << label;
-      EXPECT_GE(batched.exec.batch_rows, batched.exec.batches) << label;
-      if (batch == 1) {
-        EXPECT_EQ(batched.exec.batch_rows, batched.exec.batches) << label;
-      }
-    } else {
-      // The greedy-memory executor deliberately stays scalar.
-      EXPECT_EQ(batched.exec.batches, 0u) << label;
+    // Every executor passes the row budget; the union shape runs every data
+    // row through a RandomDropFilter run.
+    EXPECT_GT(batched.exec.batches, 0u) << label;
+    EXPECT_GE(batched.exec.batch_rows, batched.exec.batches) << label;
+    if (batch == 1) {
+      EXPECT_EQ(batched.exec.batch_rows, batched.exec.batches) << label;
     }
   }
 }
@@ -160,30 +154,56 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 1, 2)),
     ChaosName);
 
-// Every query shape (union / join / aggregate) on every executor: shapes
-// exercise different kernel mixes — the join falls back entirely, the
-// aggregate runs the hoisted window-close kernel.
+// Every scenario kind and query shape (union / join / aggregate) on every
+// executor: shapes exercise different operator mixes — the join takes
+// tuple-at-a-time steps only, the aggregate runs the hoisted window-close
+// test. kNoEts gives runs that never stop at a punctuation; kLatent stamps
+// latent rows inside the aggregate. Two extra aggregate windows cover the
+// cached single-window band of a sliding window (1.5 s / 1 s) and a window
+// so wide that no timestamp has a single window (3 s / 1 s).
 TEST(BatchShapeEquivalenceTest, AllShapesAllExecutorsByteIdentical) {
-  for (int shape = 0; shape < 3; ++shape) {
-    for (int executor = 0; executor < 3; ++executor) {
-      ScenarioConfig base;
-      base.kind = ScenarioKind::kOnDemandEts;
-      base.shape = static_cast<QueryShape>(shape);
-      base.executor = static_cast<ExecutorKind>(executor);
-      base.horizon = 120 * kSecond;
-      base.warmup = 10 * kSecond;
-      base.costs = ZeroCosts();
+  struct Shape {
+    QueryShape shape;
+    Duration agg_window;
+    Duration agg_slide;
+  };
+  const Shape kShapes[] = {
+      {QueryShape::kUnion, kSecond, kSecond},
+      {QueryShape::kJoin, kSecond, kSecond},
+      {QueryShape::kAggregate, kSecond, kSecond},
+      {QueryShape::kAggregate, 1500 * kMillisecond, kSecond},
+      {QueryShape::kAggregate, 3 * kSecond, kSecond},
+  };
+  for (int kind = 0; kind < 4; ++kind) {
+    for (const Shape& shape : kShapes) {
+      for (int executor = 0; executor < 3; ++executor) {
+        ScenarioConfig base;
+        base.kind = static_cast<ScenarioKind>(kind);
+        if (base.kind == ScenarioKind::kPeriodicEts) {
+          base.heartbeat_rate = 10.0;
+        }
+        base.shape = shape.shape;
+        base.agg_window = shape.agg_window;
+        base.agg_slide = shape.agg_slide;
+        base.executor = static_cast<ExecutorKind>(executor);
+        base.horizon = 120 * kSecond;
+        base.warmup = 10 * kSecond;
+        base.costs = ZeroCosts();
 
-      ScenarioResult scalar = RunScenario(base);
-      EXPECT_GT(scalar.tuples_delivered, 0u);
-      for (size_t batch : kBatchSizes) {
-        ScenarioConfig config = base;
-        config.batch_size = batch;
-        ScenarioResult batched = RunScenario(config);
-        ExpectBatchEquivalent(scalar, batched,
-                              "shape=" + std::to_string(shape) + " exec=" +
-                                  std::to_string(executor) + " batch=" +
-                                  std::to_string(batch));
+        ScenarioResult scalar = RunScenario(base);
+        EXPECT_GT(scalar.tuples_delivered, 0u);
+        for (size_t batch : kBatchSizes) {
+          ScenarioConfig config = base;
+          config.batch_size = batch;
+          ScenarioResult batched = RunScenario(config);
+          ExpectBatchEquivalent(
+              scalar, batched,
+              std::string(ScenarioKindToString(base.kind)) +
+                  " shape=" + std::to_string(static_cast<int>(shape.shape)) +
+                  " window=" + std::to_string(shape.agg_window) +
+                  " exec=" + std::to_string(executor) +
+                  " batch=" + std::to_string(batch));
+        }
       }
     }
   }
@@ -191,10 +211,10 @@ TEST(BatchShapeEquivalenceTest, AllShapesAllExecutorsByteIdentical) {
 
 // --- Punctuation force-split -------------------------------------------------
 
-/// A punctuation parked mid-buffer must cut the batch short: rows before it
-/// ride the batch kernel, the punctuation itself takes the scalar step, and
-/// rows after it form a fresh batch. Sink output matches the scalar run
-/// tuple for tuple.
+/// A punctuation parked mid-buffer must cut the run short: rows before it
+/// form one run, the punctuation itself takes a step of its own, and rows
+/// after it form a fresh run. Sink output matches the scalar run tuple for
+/// tuple.
 TEST(BatchPunctuationSplitTest, MidBufferPunctuationForcesSplit) {
   struct RunOutput {
     std::vector<Tuple> delivered;
@@ -208,7 +228,6 @@ TEST(BatchPunctuationSplitTest, MidBufferPunctuationForcesSplit) {
           return t.value(0).AsDouble() >= 0.0;
         });
     filter->set_required_numeric_field(0);
-    filter->set_compare_spec(0, FilterCmp::kGe, 0.0);
     Sink* sink = builder.AddSink("OUT");
     builder.Connect(source, filter);
     builder.Connect(filter, sink);
@@ -224,7 +243,7 @@ TEST(BatchPunctuationSplitTest, MidBufferPunctuationForcesSplit) {
     DfsExecutor executor(graph.get(), &clock, config);
 
     // 5 data tuples, a punctuation, 5 more — all buffered before any step,
-    // so the batched drain meets the punctuation mid-buffer.
+    // so the run meets the punctuation mid-buffer.
     for (int64_t i = 0; i < 5; ++i) {
       clock.AdvanceTo(i * kMillisecond);
       source->Ingest({Value(i)}, clock.now());
@@ -252,8 +271,8 @@ TEST(BatchPunctuationSplitTest, MidBufferPunctuationForcesSplit) {
               batched.delivered[i].value(0).int64_value());
   }
 
-  // The filter saw two batches: [0..4] stopped by the punctuation, then
-  // [5..9]; the punctuation itself was a scalar step.
+  // The filter saw two runs: [0..4] stopped by the punctuation, then
+  // [5..9]; the punctuation itself was a step of its own.
   EXPECT_EQ(batched.stats.batch_punct_splits, 1u);
   EXPECT_GE(batched.stats.batches, 2u);
   EXPECT_EQ(batched.stats.batch_rows, 10u);
@@ -262,74 +281,69 @@ TEST(BatchPunctuationSplitTest, MidBufferPunctuationForcesSplit) {
   EXPECT_EQ(scalar.stats.batches, 0u);
 }
 
-// --- DrainIntoBatch contract -------------------------------------------------
+// --- The run loop (Operator::StepRun) ---------------------------------------
 
 Tuple Data(Timestamp ts) { return Tuple::MakeData(ts, {Value(ts)}); }
 
-TEST(DrainIntoBatchTest, StopsAtPunctuationAndFlagsSplit) {
-  StreamBuffer buffer("arc");
-  ASSERT_TRUE(buffer.Push(Data(1)));
-  ASSERT_TRUE(buffer.Push(Data(2)));
-  ASSERT_TRUE(buffer.Push(Tuple::MakePunctuation(3)));
-  ASSERT_TRUE(buffer.Push(Data(4)));
+struct FilterFixture {
+  FilterFixture() : filter("F", [](const Tuple&) { return true; }) {
+    filter.AddInput(&in);
+    filter.AddOutput(&out);
+  }
+  StreamBuffer in{"in"};
+  StreamBuffer out{"out"};
+  Filter filter;
+};
 
-  ColumnBatch batch;
-  bool split = false;
-  EXPECT_EQ(buffer.DrainIntoBatch(&batch, 16, &split), 2u);
-  EXPECT_TRUE(split);  // rows were taken, then a punctuation stopped us
-  EXPECT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch.timestamps()[0], 1);
-  EXPECT_EQ(batch.timestamps()[1], 2);
-  ASSERT_FALSE(buffer.empty());
-  EXPECT_TRUE(buffer.Front().is_punctuation());
+TEST(RowRunTest, StopsAtPunctuationAndFlagsSplit) {
+  FilterFixture f;
+  ASSERT_TRUE(f.in.Push(Data(1)));
+  ASSERT_TRUE(f.in.Push(Data(2)));
+  ASSERT_TRUE(f.in.Push(Tuple::MakePunctuation(3)));
+  ASSERT_TRUE(f.in.Push(Data(4)));
+  ManualExecContext ctx;
+  ctx.set_row_budget(16);
 
-  // Punctuation at the front: nothing drained, and that is NOT a split —
-  // the scalar path handles it without a batch ever existing.
-  batch.Clear();
-  EXPECT_EQ(buffer.DrainIntoBatch(&batch, 16, &split), 0u);
-  EXPECT_FALSE(split);
-  EXPECT_EQ(batch.size(), 0u);
+  StepResult run = f.filter.Step(ctx);
+  EXPECT_EQ(run.run_rows, 2u);
+  EXPECT_TRUE(run.run_stopped_at_punctuation);  // rows taken, then a cut
+  EXPECT_TRUE(run.processed_data);
+  EXPECT_EQ(f.out.size(), 2u);
+  ASSERT_FALSE(f.in.empty());
+  EXPECT_TRUE(f.in.Front().is_punctuation());
+
+  // Punctuation at the front: a step of its own, not a run, and NOT a split.
+  StepResult punct = f.filter.Step(ctx);
+  EXPECT_EQ(punct.run_rows, 0u);
+  EXPECT_FALSE(punct.run_stopped_at_punctuation);
+  EXPECT_TRUE(punct.processed_punctuation);
+
+  // The last row is a run that ends on an empty input, not a split.
+  StepResult tail = f.filter.Step(ctx);
+  EXPECT_EQ(tail.run_rows, 1u);
+  EXPECT_FALSE(tail.run_stopped_at_punctuation);
+  EXPECT_FALSE(tail.more);
+  EXPECT_EQ(f.filter.stats().steps, 4u);  // one step per tuple taken
 }
 
-TEST(DrainIntoBatchTest, HonorsMaxRows) {
-  StreamBuffer buffer("arc");
-  for (Timestamp ts = 0; ts < 10; ++ts) ASSERT_TRUE(buffer.Push(Data(ts)));
+TEST(RowRunTest, HonorsRowBudget) {
+  FilterFixture f;
+  for (Timestamp ts = 0; ts < 10; ++ts) ASSERT_TRUE(f.in.Push(Data(ts)));
+  ManualExecContext ctx;
+  ctx.set_row_budget(4);
 
-  ColumnBatch batch;
-  bool split = true;
-  EXPECT_EQ(buffer.DrainIntoBatch(&batch, 4, &split), 4u);
-  EXPECT_FALSE(split);  // stopped by max_rows, not punctuation
-  EXPECT_EQ(batch.size(), 4u);
-  EXPECT_EQ(buffer.size(), 6u);
-}
+  StepResult run = f.filter.Step(ctx);
+  EXPECT_EQ(run.run_rows, 4u);
+  EXPECT_FALSE(run.run_stopped_at_punctuation);  // stopped by the budget
+  EXPECT_TRUE(run.more);
+  EXPECT_EQ(f.in.size(), 6u);
+  EXPECT_EQ(f.filter.stats().data_in, 4u);
+  EXPECT_EQ(f.filter.stats().steps, 4u);
 
-TEST(ColumnBatchTest, NumericColumnExtractionAndCacheInvalidation) {
-  ColumnBatch batch;
-  batch.Append(Tuple::MakeData(10, {Value(int64_t{7}), Value(2.5)}));
-  batch.Append(Tuple::MakeData(20, {Value(int64_t{9}), Value(3.5)}));
-
-  const double* col0 = batch.NumericColumn(0);
-  ASSERT_NE(col0, nullptr);
-  EXPECT_DOUBLE_EQ(col0[0], 7.0);
-  EXPECT_DOUBLE_EQ(col0[1], 9.0);
-  const double* col1 = batch.NumericColumn(1);
-  ASSERT_NE(col1, nullptr);
-  EXPECT_DOUBLE_EQ(col1[1], 3.5);
-  // Out-of-bounds and repeated requests behave.
-  EXPECT_EQ(batch.NumericColumn(5), nullptr);
-  EXPECT_EQ(batch.NumericColumn(0), col0);
-
-  batch.Clear();
-  EXPECT_EQ(batch.size(), 0u);
-  batch.Append(Tuple::MakeData(30, {Value(int64_t{-1})}));
-  const double* fresh = batch.NumericColumn(0);
-  ASSERT_NE(fresh, nullptr);
-  EXPECT_DOUBLE_EQ(fresh[0], -1.0);  // no stale cache from before Clear()
-
-  // String columns refuse vectorization (the kernel falls back row-wise).
-  batch.Clear();
-  batch.Append(Tuple::MakeData(40, {Value(std::string("s"))}));
-  EXPECT_EQ(batch.NumericColumn(0), nullptr);
+  // The default budget is one row: the tuple-at-a-time engine.
+  ManualExecContext scalar;
+  EXPECT_EQ(f.filter.Step(scalar).run_rows, 1u);
+  EXPECT_EQ(f.in.size(), 5u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "common/clock.h"
 #include "obs/metrics_registry.h"
 #include "obs/tracer.h"
+#include "sim/experiment_spec.h"
 #include "sim/scenario.h"
 
 namespace dsms {
@@ -153,6 +154,36 @@ TEST(ExecStatsRegistryTest, LeaseEtsIsCountedOnce) {
     }
     EXPECT_EQ(total, 7u);
   }
+}
+
+// The experiment report publishes the executor's counters under exec.*; it
+// must not add a second key for the lease-ETS count, or a consumer summing
+// the --metrics counters counts every fallback ETS twice.
+TEST(ExecStatsRegistryTest, ExperimentReportCountsLeaseEtsOnce) {
+  auto experiment = ParseExperiment(R"(
+stream FAST ts=internal
+stream SLOW ts=internal
+union U in=FAST,SLOW
+sink OUT in=U
+feed FAST process=poisson rate=50 seed=1
+feed SLOW process=poisson rate=0.5 seed=2
+fault SLOW kind=stall start=10s duration=10s
+run horizon=40s ets=none lease=2s
+)");
+  ASSERT_TRUE(experiment.ok()) << experiment.status();
+  auto report = RunExperiment(&*experiment);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_GT(report->lease_expired_ets, 0u);
+
+  MetricsRegistry registry;
+  report->PublishTo(&registry);
+  std::vector<std::string> keys;
+  for (const auto& sample : registry.Samples()) {
+    if (sample.name.find("lease_expired_ets") == std::string::npos) continue;
+    keys.push_back(sample.name);
+    EXPECT_EQ(sample.value, std::to_string(report->lease_expired_ets));
+  }
+  EXPECT_EQ(keys, std::vector<std::string>{"exec.frontier.lease_expired_ets"});
 }
 
 class ExecutorTraceTest : public ::testing::TestWithParam<ExecutorKind> {};

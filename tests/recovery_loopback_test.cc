@@ -242,9 +242,9 @@ TEST(RecoveryLoopbackTest, KillMidRunRecoverResumeOutputIsByteIdentical) {
   EXPECT_EQ(ReadFile(dir + "/sink-OUT.out"), reference);
 }
 
-// The same plan with columnar batch execution enabled. Batch size 7 is
-// deliberately odd: drains end mid-burst and at punctuation splits, so the
-// crash lands between batches whose boundaries don't line up with anything.
+// The same plan with batch mode enabled. Batch size 7 is deliberately odd:
+// runs end mid-burst and at punctuation splits, so the crash lands between
+// runs whose boundaries don't line up with anything.
 constexpr char kBatchPlan[] = R"(
 stream A ts=internal
 stream B ts=external skew=40ms
@@ -258,10 +258,10 @@ batch size=7
 run horizon=2s ets=on-demand
 )";
 
-// The batch-mode variant of the kill-and-recover contract. A ColumnBatch
-// lives strictly inside one executor step — drained, processed, cleared
+// The batch-mode variant of the kill-and-recover contract. A row run lives
+// strictly inside one executor step — every row it takes is processed
 // before the engine can reach the idle points where checkpoints are cut —
-// so there is never an in-flight batch to persist, and recovery with
+// so there is never an in-flight run to persist, and recovery with
 // batching on must be byte-identical exactly like the scalar path. The
 // reference run is batched too (batch vs scalar output equivalence is
 // tests/batch_exec_test.cc's contract, at zero virtual cost).

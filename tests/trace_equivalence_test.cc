@@ -146,10 +146,10 @@ TEST(TraceEquivalenceTest, CoarseGranularityAndSmallQuantum) {
   ExpectTraceEquivalent(config, "coarse rr_quantum=1");
 }
 
-/// Columnar batch mode must preserve the scheduler equivalence: with the
-/// same batch size on both sides, the ready-queue scheduler still replays
-/// the reference scan byte for byte — including the batch counters, the
-/// DrainIntoBatch buffer events, and the kBatchDrain cost charges.
+/// Batch mode must preserve the scheduler equivalence: with the same batch
+/// size on both sides, the ready-queue scheduler still replays the
+/// reference scan byte for byte — including the batch counters, the buffer
+/// events of every row run, and the kBatchDrain cost charges.
 /// (Batch-vs-scalar equivalence is a different contract with a different
 /// oracle; see tests/batch_exec_test.cc.)
 TEST(TraceEquivalenceTest, BatchModeKeepsSchedulerEquivalence) {
