@@ -8,6 +8,7 @@
 #include <sched.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -22,7 +23,6 @@
 #include "core/stream_buffer.h"
 #include "core/tuple.h"
 #include "exec/dfs_executor.h"
-#include "exec/sharded_executor.h"
 #include "graph/graph_builder.h"
 #include "graph/plan_parser.h"
 #include "metrics/histogram.h"
@@ -31,6 +31,7 @@
 #include "operators/union_op.h"
 #include "operators/window_aggregate.h"
 #include "operators/window_join.h"
+#include "sim/experiment_spec.h"
 #include "storage/state_store.h"
 
 namespace dsms {
@@ -389,6 +390,20 @@ BENCHMARK(BM_DfsPipeline)
     ->Args({64, 0})
     ->Args({64, 1});
 
+// --- Burst benchmarks ------------------------------------------------------
+// Each iteration stages a burst of tuples and then executes it. Only the
+// execution is timed, by hand (UseManualTime, wall clock): pausing and
+// resuming the benchmark timer around every iteration reads the CPU clocks
+// twice per burst, a cost on the scale of the shortest bursts themselves.
+
+using BurstClock = std::chrono::steady_clock;
+
+/// Records the wall time since `start` as this iteration's time.
+void SetBurstTime(benchmark::State& state, BurstClock::time_point start) {
+  state.SetIterationTime(
+      std::chrono::duration<double>(BurstClock::now() - start).count());
+}
+
 // --- Row runs: one Step per row (budget 1) vs one Step per burst ---------
 // (see docs/batching.md). The budget is ExecContext::row_budget(), which the
 // executors set from ExecConfig::batch_size.
@@ -407,13 +422,13 @@ void BM_FilterScalar(benchmark::State& state) {
   std::vector<double> values(static_cast<size_t>(rows));
   for (double& v : values) v = rng.NextDouble();
   for (auto _ : state) {
-    state.PauseTiming();  // staging the burst is not the path under test
     for (int64_t i = 0; i < rows; ++i) {
       in.Push(Tuple::MakeData(i, {Value(values[static_cast<size_t>(i)])}));
     }
-    state.ResumeTiming();
+    const BurstClock::time_point start = BurstClock::now();
     while (!in.empty()) filter.Step(ctx);
     while (!out.empty()) out.Pop();
+    SetBurstTime(state, start);
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }
@@ -422,7 +437,8 @@ BENCHMARK(BM_FilterScalar)
     ->Args({64, 1})
     ->Args({64, 64})
     ->Args({1024, 1})
-    ->Args({1024, 1024});
+    ->Args({1024, 1024})
+    ->UseManualTime();
 
 void BM_WindowAggScalar(benchmark::State& state) {
   const int64_t rows = state.range(0);
@@ -435,14 +451,14 @@ void BM_WindowAggScalar(benchmark::State& state) {
   ctx.set_row_budget(static_cast<size_t>(state.range(1)));
   Timestamp ts = 0;
   for (auto _ : state) {
-    state.PauseTiming();  // staging the burst is not the path under test
     for (int64_t i = 0; i < rows; ++i) {
       in.Push(Tuple::MakeData(ts, {Value(1.0)}));
       ++ts;
     }
-    state.ResumeTiming();
+    const BurstClock::time_point start = BurstClock::now();
     while (!in.empty()) agg.Step(ctx);
     while (!out.empty()) out.Pop();
+    SetBurstTime(state, start);
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }
@@ -451,7 +467,8 @@ BENCHMARK(BM_WindowAggScalar)
     ->Args({64, 1})
     ->Args({64, 64})
     ->Args({1024, 1})
-    ->Args({1024, 1024});
+    ->Args({1024, 1024})
+    ->UseManualTime();
 
 /// The Figure-7 hot path — source -> 95% selection -> window aggregate ->
 /// sink — driven through the real executor. batch=0 is the scalar engine;
@@ -486,15 +503,15 @@ void BM_Fig7FilterWindowChain(benchmark::State& state) {
   for (double& v : values) v = rng.NextDouble();
   Timestamp now = 0;
   for (auto _ : state) {
-    // Arrival is not the path under test: the burst is staged with the
-    // clock paused so both engines are timed on execution alone.
-    state.PauseTiming();
+    // Arrival is not the path under test: the burst is staged untimed so
+    // both engines are timed on execution alone.
     for (int64_t i = 0; i < kBurst; ++i) {
       source->Ingest({Value(values[static_cast<size_t>(i)])}, now);
       ++now;
     }
-    state.ResumeTiming();
+    const BurstClock::time_point start = BurstClock::now();
     executor.RunUntilIdle();
+    SetBurstTime(state, start);
   }
   state.SetItemsProcessed(state.iterations() * kBurst);
   state.SetLabel(batch_size == 0 ? "scalar engine" : "row runs");
@@ -504,13 +521,14 @@ BENCHMARK(BM_Fig7FilterWindowChain)
     ->Arg(0)
     ->Arg(1)
     ->Arg(64)
-    ->Arg(1024);
+    ->Arg(1024)
+    ->UseManualTime();
 
 // --- Sharded engine: shards=1 vs shards=4 on the figure workloads --------
-// (docs/execution_model.md "Sharded execution"). Both run with
-// UseRealTime(): the shards step on worker threads, so the main thread's
-// CPU time would undercount their work and inflate items/s. items/s is
-// therefore wall-clock throughput. The virtual_tuples_per_sec counter is
+// (docs/execution_model.md "Sharded execution"). Both are timed in wall
+// clock (manual burst time): the shards step on worker threads, so the main
+// thread's CPU time would undercount their work and inflate items/s. items/s
+// is therefore wall-clock throughput. The virtual_tuples_per_sec counter is
 // the virtual-time figure: parallel shards burn virtual CPU concurrently
 // (the epoch barrier advances the clock by the MAX per-shard cost, not the
 // sum), so a balanced 4-shard partition clears more virtual throughput
@@ -546,18 +564,12 @@ void BM_ShardedFig7Chains(benchmark::State& state) {
   ExecConfig config;  // default cost model: virtual time is the measurement
   config.shards = shards;
   config.shard_mode = ShardMode::kParallel;
-  std::unique_ptr<Executor> executor;
-  if (shards > 1) {
-    executor =
-        std::make_unique<ShardedExecutor>(graph->get(), &clock, config);
-  } else {
-    executor = std::make_unique<DfsExecutor>(graph->get(), &clock, config);
-  }
+  std::unique_ptr<Executor> executor =
+      MakeExecutor(graph->get(), &clock, config).value();
   Pcg32 rng(7);
   uint64_t tuples = 0;
   for (auto _ : state) {
-    // Staged with the timer paused: arrival is not the path under test.
-    state.PauseTiming();
+    // Staged untimed: arrival is not the path under test.
     Timestamp now = clock.now();
     for (int64_t i = 0; i < kBurst; ++i) {
       ++now;
@@ -565,8 +577,9 @@ void BM_ShardedFig7Chains(benchmark::State& state) {
         source->Ingest({Value(rng.NextDouble())}, now);
       }
     }
-    state.ResumeTiming();
+    const BurstClock::time_point start = BurstClock::now();
     executor->RunUntilIdle();
+    SetBurstTime(state, start);
     tuples += kChains * kBurst;
   }
   state.SetItemsProcessed(static_cast<int64_t>(tuples));
@@ -579,7 +592,7 @@ BENCHMARK(BM_ShardedFig7Chains)
     ->ArgName("shards")
     ->Arg(1)
     ->Arg(4)
-    ->UseRealTime();
+    ->UseManualTime();
 
 /// Four independent fig8-style union pairs (two streams -> filters ->
 /// ordered union -> sink). Each pair's streams land on different shards,
@@ -617,17 +630,11 @@ void BM_ShardedFig8Unions(benchmark::State& state) {
   config.ets.mode = EtsMode::kOnDemand;
   config.shards = shards;
   config.shard_mode = ShardMode::kParallel;
-  std::unique_ptr<Executor> executor;
-  if (shards > 1) {
-    executor =
-        std::make_unique<ShardedExecutor>(graph->get(), &clock, config);
-  } else {
-    executor = std::make_unique<DfsExecutor>(graph->get(), &clock, config);
-  }
+  std::unique_ptr<Executor> executor =
+      MakeExecutor(graph->get(), &clock, config).value();
   uint64_t tuples = 0;
   int64_t seq = 0;
   for (auto _ : state) {
-    state.PauseTiming();
     Timestamp now = clock.now();
     for (int64_t i = 0; i < kBurst; ++i) {
       ++now;
@@ -636,8 +643,9 @@ void BM_ShardedFig8Unions(benchmark::State& state) {
       }
       ++seq;
     }
-    state.ResumeTiming();
+    const BurstClock::time_point start = BurstClock::now();
     executor->RunUntilIdle();
+    SetBurstTime(state, start);
     tuples += static_cast<uint64_t>(sources.size()) * kBurst;
   }
   state.SetItemsProcessed(static_cast<int64_t>(tuples));
@@ -650,7 +658,7 @@ BENCHMARK(BM_ShardedFig8Unions)
     ->ArgName("shards")
     ->Arg(1)
     ->Arg(4)
-    ->UseRealTime();
+    ->UseManualTime();
 
 void BM_PlanParser(benchmark::State& state) {
   constexpr char kPlan[] = R"(

@@ -20,17 +20,11 @@
 #include <sstream>
 #include <string>
 
-#include "common/clock.h"
 #include "common/flag_help.h"
 #include "common/strings.h"
-#include "exec/dfs_executor.h"
-#include "exec/greedy_memory_executor.h"
-#include "exec/round_robin_executor.h"
-#include "exec/sharded_executor.h"
-#include "metrics/stats_report.h"
 #include "net/ingest_server.h"
+#include "net/served_engine.h"
 #include "obs/metrics_registry.h"
-#include "obs/tracer.h"
 #include "recovery/recovery_manager.h"
 #include "sim/experiment_spec.h"
 
@@ -224,129 +218,27 @@ int main(int argc, char** argv) {
     options.wall_limit = 2 * options.horizon + 5 * kSecond;
   }
 
-  QueryGraph* graph = experiment->plan.graph.get();
-  VirtualClock clock;
-  std::unique_ptr<Tracer> tracer;
-  if (!experiment->trace.path.empty()) {
-    tracer = std::make_unique<Tracer>(&clock, experiment->trace.capacity);
-  }
-  ExecConfig config = ExecConfigForRun(experiment->run);
-  config.tracer = tracer.get();
-  if (experiment->run.buffer_cap > 0) {
-    graph->SetBufferBound(experiment->run.buffer_cap,
-                          experiment->run.overload);
-  }
-  // The state store must exist BEFORE RestoreGraph: the restored manifest
-  // and spilled-block descriptors claim their block files against it.
-  if (experiment->storage.enabled) {
-    StorageConfig storage_config;
-    storage_config.mem_budget = experiment->storage.mem_budget;
-    storage_config.spill_dir = experiment->storage.spill_dir;
-    storage_config.granularity = experiment->storage.granularity;
-    storage_config.overload = experiment->run.overload;
-    Status configured = graph->ConfigureStateStore(storage_config);
-    if (!configured.ok()) {
-      std::fprintf(stderr, "state store error: %s\n",
-                   configured.ToString().c_str());
-      return 1;
-    }
-  }
+  if (!wal_dir.empty()) experiment->recovery.dir = wal_dir;
 
-  // Crash recovery (docs/recovery.md). Restore order matters: checkpointed
-  // buffer contents must land before the executor constructor scans them to
-  // seed its ready queue.
-  std::unique_ptr<RecoveryManager> recovery;
-  if (experiment->recovery.wal) {
-    RecoveryOptions ropts;
-    ropts.dir = wal_dir.empty() ? experiment->recovery.dir : wal_dir;
-    ropts.wal = true;
-    ropts.sync = experiment->recovery.sync;
-    ropts.sync_interval_bytes = experiment->recovery.sync_interval_bytes;
-    ropts.segment_bytes = experiment->recovery.segment_bytes;
-    ropts.checkpoint = experiment->recovery.checkpoint;
-    ropts.checkpoint_horizon = experiment->recovery.checkpoint_horizon;
-    ropts.keep = experiment->recovery.keep;
-    recovery = std::make_unique<RecoveryManager>(ropts);
-    if (tracer != nullptr) recovery->set_tracer(tracer.get());
-    Status opened = recovery->Open();
-    if (!opened.ok()) {
-      std::fprintf(stderr, "recovery error: %s\n",
-                   opened.ToString().c_str());
-      return 1;
-    }
-    recovery->RestoreGraph(graph, &clock);
+  Result<std::unique_ptr<ServedEngine>> assembled =
+      ServedEngine::Assemble(&*experiment, options);
+  if (!assembled.ok()) {
+    std::fprintf(stderr, "setup error: %s\n",
+                 assembled.status().ToString().c_str());
+    return 1;
   }
-
-  // Checkpoints carry per-shard executor blobs whose layout assumes the
-  // deterministic schedule; the serve/recover path always runs that mode.
-  config.shard_mode = ShardMode::kDeterministic;
-  std::unique_ptr<Executor> executor;
-  switch (experiment->run.executor) {
-    case ExecutorKind::kDfs:
-      if (experiment->run.shards > 1) {
-        executor = std::make_unique<ShardedExecutor>(graph, &clock, config);
-      } else {
-        executor = std::make_unique<DfsExecutor>(graph, &clock, config);
-      }
-      break;
-    case ExecutorKind::kRoundRobin:
-      executor = std::make_unique<RoundRobinExecutor>(
-          graph, &clock, config, experiment->run.quantum);
-      break;
-    case ExecutorKind::kGreedyMemory:
-      executor =
-          std::make_unique<GreedyMemoryExecutor>(graph, &clock, config);
-      break;
-  }
-  if (recovery != nullptr) {
-    recovery->RestoreExecutor(executor.get());
-    Status attached = recovery->AttachSinks(graph);
-    if (!attached.ok()) {
-      std::fprintf(stderr, "recovery error: %s\n",
-                   attached.ToString().c_str());
-      return 1;
-    }
-  }
-
-  // Run() serves for `horizon` from its starting clock. After a restore
-  // the clock already sits at the checkpoint instant, so serve only the
-  // remainder — the recovered run ends at the same absolute virtual time
-  // the uninterrupted run would have.
-  if (recovery != nullptr && recovery->recovered()) {
-    options.horizon =
-        options.horizon > clock.now() ? options.horizon - clock.now() : 0;
-  }
-
-  IngestServer server(graph, executor.get(), &clock, options);
-  if (tracer != nullptr) server.AttachTracer(tracer.get());
-  server.set_violation_policy(experiment->run.violations);
-  if (recovery != nullptr) {
-    server.AttachRecovery(recovery.get());
-    if (!recovery->recovered_net_blob().empty()) {
-      Status restored = server.RestoreNetState(recovery->recovered_net_blob());
-      if (!restored.ok()) {
-        std::fprintf(stderr, "recovery error: %s\n",
-                     restored.ToString().c_str());
-        return 1;
-      }
-    }
-  }
-
-  Status status = server.Start();
+  ServedEngine& engine = **assembled;
+  IngestServer& server = *engine.server();
+  RecoveryManager* recovery = engine.recovery();
+  Status status = engine.Start();
   if (!status.ok()) {
     std::fprintf(stderr, "start error: %s\n", status.ToString().c_str());
     return 1;
   }
   if (recovery != nullptr && recovery->recovered()) {
-    status = server.ReplayRecoveredWal();
-    if (!status.ok()) {
-      std::fprintf(stderr, "wal replay error: %s\n",
-                   status.ToString().c_str());
-      return 1;
-    }
     std::printf("recovered to t=%.3f s (virtual): %llu WAL frames "
                 "replayed past the checkpoint\n",
-                DurationToSeconds(clock.now()),
+                DurationToSeconds(engine.clock().now()),
                 static_cast<unsigned long long>(
                     recovery->replayed_frames()));
   }
@@ -357,7 +249,7 @@ int main(int argc, char** argv) {
   std::printf("listening on %s:%u (%s clock), horizon %.3f s\n",
               options.host.c_str(), server.port(),
               frame_clock ? "frame-driven" : "wall",
-              DurationToSeconds(options.horizon));
+              DurationToSeconds(engine.options().horizon));
   std::fflush(stdout);
   if (!port_file.empty()) {
     std::ofstream pf(port_file);
@@ -368,7 +260,7 @@ int main(int argc, char** argv) {
     pf << server.port() << "\n";
   }
 
-  status = server.Run();
+  status = engine.Run();
   g_server = nullptr;
   if (status.code() == StatusCode::kAborted) {
     // Scheduled chaos crash: die the way SIGKILL would — no WAL flush, no
@@ -381,49 +273,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "serve error: %s\n", status.ToString().c_str());
     return 1;
   }
-  if (recovery != nullptr) {
-    // Graceful shutdown epilogue (horizon reached or SIGTERM/SIGINT):
-    // persist everything so a restart resumes without replay loss.
-    Status final_ckpt = server.CheckpointNow();
-    if (!final_ckpt.ok()) {
-      std::fprintf(stderr, "final checkpoint failed: %s\n",
-                   final_ckpt.ToString().c_str());
-    }
-    Status flushed = recovery->FlushWal();
-    if (flushed.ok()) flushed = recovery->FlushSinks();
-    if (!flushed.ok()) {
-      std::fprintf(stderr, "recovery flush failed: %s\n",
-                   flushed.ToString().c_str());
-      return 1;
-    }
+  // Graceful shutdown epilogue (horizon reached or SIGTERM/SIGINT):
+  // persist everything so a restart resumes without replay loss.
+  status = engine.Shutdown();
+  if (!status.ok()) {
+    std::fprintf(stderr, "recovery flush failed: %s\n",
+                 status.ToString().c_str());
+    return 1;
   }
 
-  ExperimentReport report;
-  report.end_time = clock.now();
-  for (Sink* sink : graph->sinks()) {
-    SinkReport sr;
-    sr.name = sink->name();
-    sr.tuples = sink->data_delivered();
-    sr.mean_latency_ms = sink->latency().mean_ms();
-    sr.p99_latency_ms = sink->latency().p99_us() / 1000.0;
-    report.sinks.push_back(std::move(sr));
-  }
-  report.peak_queue_total = server.queue_tracker().peak_total();
-  report.ets_generated = executor->ets_generated();
-  report.lease_expired_ets = executor->stats().lease_expired_ets;
-  for (Source* source : graph->sources()) {
-    if (source->degraded()) report.degraded = true;
-  }
-  report.shed_tuples = graph->TotalShedTuples();
-  report.quarantined = server.order_validator().quarantined();
-  report.dropped_late = server.order_validator().dropped();
-  report.buffer_order_violations = server.order_validator().violations();
-  report.max_buffer_hwm = graph->MaxBufferHighWaterMark();
-  if (graph->state_store() != nullptr) {
-    report.storage = graph->state_store()->stats();
-  }
-  report.exec = executor->stats();
-
+  const ExperimentReport report = engine.Report();
   std::printf("served to t=%.3f s (virtual); %llu connections, %llu "
               "frames, %llu bytes, %llu decode errors\n",
               DurationToSeconds(report.end_time),
@@ -445,12 +304,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(report.lease_expired_ets),
               static_cast<unsigned long long>(
                   report.buffer_order_violations));
-  std::printf("%s", OperatorStatsString(*graph).c_str());
+  std::printf("%s", report.operator_stats.c_str());
 
-  if (tracer != nullptr) {
+  if (engine.tracer() != nullptr) {
     std::ofstream out(experiment->trace.path);
     if (out) {
-      tracer->WriteChromeTrace(out);
+      engine.tracer()->WriteChromeTrace(out);
       std::printf("wrote execution trace to %s\n",
                   experiment->trace.path.c_str());
     } else {

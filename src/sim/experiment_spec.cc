@@ -39,28 +39,81 @@ struct ExpStatement {
   std::map<std::string, std::string> args;
 };
 
+/// The syntax of one experiment statement: its keyword, whether a stream
+/// name follows it, whether it may appear at most once, and the keys it
+/// accepts. A misspelled or retired key fails the parse rather than
+/// silently leaving its knob at the default (a dropped `lease=` disarms
+/// liveness; a dropped feed `seed=` runs seed 1).
+struct StatementSyntax {
+  std::string_view type;
+  bool has_name;
+  bool unique;
+  std::vector<std::string_view> keys;
+};
+
+const StatementSyntax kStatementSyntax[] = {
+    {"feed", true, false,
+     {"process", "rate", "burst_rate", "idle_rate", "burst_len", "idle_len",
+      "trace", "seed", "payload", "lo", "hi", "fields"}},
+    {"heartbeat", true, false, {"period", "phase"}},
+    {"fault", true, false,
+     {"kind", "start", "duration", "factor", "prob", "magnitude", "period",
+      "seed"}},
+    {"run", false, true,
+     {"horizon", "warmup", "ets_min_interval", "ets", "executor", "quantum",
+      "lease", "buffer_cap", "overload", "shards", "mode", "violations"}},
+    {"batch", false, true, {"size"}},
+    {"trace", false, true, {"path", "capacity"}},
+    {"wal", false, true,
+     {"dir", "sync", "sync_interval_bytes", "segment_bytes"}},
+    {"checkpoint", false, true, {"horizon", "keep"}},
+    {"crash", false, true, {"at"}},
+    {"state", false, true, {"mem_budget", "spill_dir", "granularity"}},
+    {"netfault", false, false,
+     {"kind", "at", "seed", "count", "chunk", "gap", "bytes", "stale"}},
+};
+
+/// The syntax whose keyword starts `line`, or nullptr for a plan line.
+const StatementSyntax* FindStatementSyntax(std::string_view line) {
+  for (const StatementSyntax& syntax : kStatementSyntax) {
+    if (StartsWith(line, syntax.type) &&
+        (line.size() == syntax.type.size() ||
+         line[syntax.type.size()] == ' ')) {
+      return &syntax;
+    }
+  }
+  return nullptr;
+}
+
 Status ParseExpStatement(int line_number, std::string_view line,
-                         bool has_name, ExpStatement* out) {
+                         const StatementSyntax& syntax, ExpStatement* out) {
   std::vector<std::string> tokens;
   for (const std::string& piece : StrSplit(line, ' ')) {
     std::string_view token = StripWhitespace(piece);
     if (!token.empty()) tokens.emplace_back(token);
   }
-  size_t arg_start = has_name ? 2 : 1;
+  size_t arg_start = syntax.has_name ? 2 : 1;
   if (tokens.size() < arg_start) {
     return InvalidArgumentError(
         StrFormat("line %d: malformed statement", line_number));
   }
   out->line = line_number;
   out->type = tokens[0];
-  if (has_name) out->name = tokens[1];
+  if (syntax.has_name) out->name = tokens[1];
   for (size_t i = arg_start; i < tokens.size(); ++i) {
     size_t eq = tokens[i].find('=');
     if (eq == std::string::npos || eq == 0) {
       return InvalidArgumentError(StrFormat(
           "line %d: malformed argument '%s'", line_number, tokens[i].c_str()));
     }
-    out->args[tokens[i].substr(0, eq)] = tokens[i].substr(eq + 1);
+    std::string key = tokens[i].substr(0, eq);
+    if (std::find(syntax.keys.begin(), syntax.keys.end(), key) ==
+        syntax.keys.end()) {
+      return InvalidArgumentError(
+          StrFormat("line %d: unknown %s key '%s'", line_number,
+                    tokens[0].c_str(), key.c_str()));
+    }
+    out->args[key] = tokens[i].substr(eq + 1);
   }
   return OkStatus();
 }
@@ -205,18 +258,6 @@ Status ParseFault(const ExpStatement& s, FaultTargetSpec* fault) {
 }
 
 Status ParseRun(const ExpStatement& s, RunSpec* run) {
-  // A misspelled or retired key must fail the parse rather than silently
-  // leave its knob at the default (a dropped lease disarms liveness).
-  static constexpr std::string_view kRunKeys[] = {
-      "horizon", "warmup", "ets_min_interval", "ets", "executor", "quantum",
-      "lease", "buffer_cap", "overload", "shards", "mode", "violations"};
-  for (const auto& arg : s.args) {
-    if (std::find(std::begin(kRunKeys), std::end(kRunKeys), arg.first) ==
-        std::end(kRunKeys)) {
-      return InvalidArgumentError(StrFormat(
-          "line %d: unknown run key '%s'", s.line, arg.first.c_str()));
-    }
-  }
   DSMS_RETURN_IF_ERROR(
       GetArgDuration(s, "horizon", 600 * kSecond, &run->horizon));
   DSMS_RETURN_IF_ERROR(GetArgDuration(s, "warmup", 0, &run->warmup));
@@ -580,17 +621,7 @@ Result<Experiment> ParseExperiment(std::string_view text) {
 Result<Experiment> ParseExperiment(std::string_view text,
                                    bool require_feeds) {
   std::vector<std::string> plan_lines;
-  std::vector<ExpStatement> feeds;
-  std::vector<ExpStatement> heartbeats;
-  std::vector<ExpStatement> faults;
-  std::vector<ExpStatement> runs;
-  std::vector<ExpStatement> batches;
-  std::vector<ExpStatement> traces;
-  std::vector<ExpStatement> wals;
-  std::vector<ExpStatement> checkpoints;
-  std::vector<ExpStatement> crashes;
-  std::vector<ExpStatement> states;
-  std::vector<ExpStatement> netfaults;
+  std::map<std::string_view, std::vector<ExpStatement>> statements;
 
   int line_number = 0;
   for (const std::string& raw_line : StrSplit(text, '\n')) {
@@ -600,99 +631,29 @@ Result<Experiment> ParseExperiment(std::string_view text,
     if (comment != std::string_view::npos) line = line.substr(0, comment);
     std::string_view stripped = StripWhitespace(line);
     if (stripped.empty()) continue;
-    ExpStatement statement;
-    if (StartsWith(stripped, "feed ")) {
-      Status status =
-          ParseExpStatement(line_number, stripped, /*has_name=*/true,
-                            &statement);
-      if (!status.ok()) return status;
-      feeds.push_back(std::move(statement));
-    } else if (StartsWith(stripped, "heartbeat ")) {
-      Status status =
-          ParseExpStatement(line_number, stripped, /*has_name=*/true,
-                            &statement);
-      if (!status.ok()) return status;
-      heartbeats.push_back(std::move(statement));
-    } else if (StartsWith(stripped, "fault ")) {
-      Status status =
-          ParseExpStatement(line_number, stripped, /*has_name=*/true,
-                            &statement);
-      if (!status.ok()) return status;
-      faults.push_back(std::move(statement));
-    } else if (stripped == "run" || StartsWith(stripped, "run ")) {
-      Status status = ParseExpStatement(line_number, stripped,
-                                        /*has_name=*/false, &statement);
-      if (!status.ok()) return status;
-      runs.push_back(std::move(statement));
-    } else if (stripped == "batch" || StartsWith(stripped, "batch ")) {
-      Status status = ParseExpStatement(line_number, stripped,
-                                        /*has_name=*/false, &statement);
-      if (!status.ok()) return status;
-      batches.push_back(std::move(statement));
-    } else if (StartsWith(stripped, "trace ")) {
-      Status status = ParseExpStatement(line_number, stripped,
-                                        /*has_name=*/false, &statement);
-      if (!status.ok()) return status;
-      traces.push_back(std::move(statement));
-    } else if (stripped == "wal" || StartsWith(stripped, "wal ")) {
-      Status status = ParseExpStatement(line_number, stripped,
-                                        /*has_name=*/false, &statement);
-      if (!status.ok()) return status;
-      wals.push_back(std::move(statement));
-    } else if (stripped == "checkpoint" ||
-               StartsWith(stripped, "checkpoint ")) {
-      Status status = ParseExpStatement(line_number, stripped,
-                                        /*has_name=*/false, &statement);
-      if (!status.ok()) return status;
-      checkpoints.push_back(std::move(statement));
-    } else if (stripped == "crash" || StartsWith(stripped, "crash ")) {
-      Status status = ParseExpStatement(line_number, stripped,
-                                        /*has_name=*/false, &statement);
-      if (!status.ok()) return status;
-      crashes.push_back(std::move(statement));
-    } else if (stripped == "state" || StartsWith(stripped, "state ")) {
-      Status status = ParseExpStatement(line_number, stripped,
-                                        /*has_name=*/false, &statement);
-      if (!status.ok()) return status;
-      states.push_back(std::move(statement));
-    } else if (stripped == "netfault" || StartsWith(stripped, "netfault ")) {
-      Status status = ParseExpStatement(line_number, stripped,
-                                        /*has_name=*/false, &statement);
-      if (!status.ok()) return status;
-      netfaults.push_back(std::move(statement));
-    } else {
+    const StatementSyntax* syntax = FindStatementSyntax(stripped);
+    if (syntax == nullptr) {
       plan_lines.push_back(raw_line);
+      continue;
+    }
+    ExpStatement statement;
+    DSMS_RETURN_IF_ERROR(
+        ParseExpStatement(line_number, stripped, *syntax, &statement));
+    statements[syntax->type].push_back(std::move(statement));
+  }
+  for (const StatementSyntax& syntax : kStatementSyntax) {
+    const std::vector<ExpStatement>& found = statements[syntax.type];
+    if (syntax.unique && found.size() > 1) {
+      return InvalidArgumentError(
+          StrFormat("line %d: duplicate %s statement", found[1].line,
+                    std::string(syntax.type).c_str()));
     }
   }
-
-  if (runs.size() > 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: duplicate run statement", runs[1].line));
-  }
-  if (batches.size() > 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: duplicate batch statement", batches[1].line));
-  }
-  if (traces.size() > 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: duplicate trace statement", traces[1].line));
-  }
-  if (wals.size() > 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: duplicate wal statement", wals[1].line));
-  }
-  if (checkpoints.size() > 1) {
-    return InvalidArgumentError(StrFormat(
-        "line %d: duplicate checkpoint statement", checkpoints[1].line));
-  }
-  if (crashes.size() > 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: duplicate crash statement", crashes[1].line));
-  }
-  if (states.size() > 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: duplicate state statement", states[1].line));
-  }
+  // The statement of a unique type, or nullptr when the text has none.
+  auto only = [&statements](std::string_view type) -> const ExpStatement* {
+    const std::vector<ExpStatement>& found = statements[type];
+    return found.empty() ? nullptr : &found.front();
+  };
 
   Result<ParsedPlan> plan = ParsePlan(StrJoin(plan_lines, "\n"));
   if (!plan.ok()) return plan.status();
@@ -709,13 +670,13 @@ Result<Experiment> ParseExperiment(std::string_view text,
     return OkStatus();
   };
 
-  for (const ExpStatement& s : feeds) {
+  for (const ExpStatement& s : statements["feed"]) {
     DSMS_RETURN_IF_ERROR(check_stream(s));
     FeedSpec feed;
     DSMS_RETURN_IF_ERROR(ParseFeed(s, &feed));
     experiment.feeds.push_back(std::move(feed));
   }
-  for (const ExpStatement& s : heartbeats) {
+  for (const ExpStatement& s : statements["heartbeat"]) {
     DSMS_RETURN_IF_ERROR(check_stream(s));
     HeartbeatSpec heartbeat;
     heartbeat.source = s.name;
@@ -728,41 +689,39 @@ Result<Experiment> ParseExperiment(std::string_view text,
     DSMS_RETURN_IF_ERROR(GetArgDuration(s, "phase", 0, &heartbeat.phase));
     experiment.heartbeats.push_back(heartbeat);
   }
-  for (const ExpStatement& s : faults) {
+  for (const ExpStatement& s : statements["fault"]) {
     DSMS_RETURN_IF_ERROR(check_stream(s));
     FaultTargetSpec fault;
     fault.source = s.name;
     DSMS_RETURN_IF_ERROR(ParseFault(s, &fault));
     experiment.faults.push_back(std::move(fault));
   }
-  if (!runs.empty()) {
-    DSMS_RETURN_IF_ERROR(ParseRun(runs[0], &experiment.run));
+  if (const ExpStatement* s = only("run")) {
+    DSMS_RETURN_IF_ERROR(ParseRun(*s, &experiment.run));
   }
-  if (!batches.empty()) {
-    DSMS_RETURN_IF_ERROR(ParseBatch(batches[0], &experiment.run));
+  if (const ExpStatement* s = only("batch")) {
+    DSMS_RETURN_IF_ERROR(ParseBatch(*s, &experiment.run));
   }
-  if (!traces.empty()) {
-    DSMS_RETURN_IF_ERROR(ParseTrace(traces[0], &experiment.trace));
+  if (const ExpStatement* s = only("trace")) {
+    DSMS_RETURN_IF_ERROR(ParseTrace(*s, &experiment.trace));
   }
-  if (!wals.empty()) {
-    DSMS_RETURN_IF_ERROR(ParseWal(wals[0], &experiment.recovery));
+  if (const ExpStatement* s = only("wal")) {
+    DSMS_RETURN_IF_ERROR(ParseWal(*s, &experiment.recovery));
   }
-  if (!checkpoints.empty()) {
-    DSMS_RETURN_IF_ERROR(
-        ParseCheckpoint(checkpoints[0], &experiment.recovery));
+  if (const ExpStatement* s = only("checkpoint")) {
+    DSMS_RETURN_IF_ERROR(ParseCheckpoint(*s, &experiment.recovery));
     if (!experiment.recovery.wal) {
-      return InvalidArgumentError(
-          StrFormat("line %d: checkpoint requires a wal statement",
-                    checkpoints[0].line));
+      return InvalidArgumentError(StrFormat(
+          "line %d: checkpoint requires a wal statement", s->line));
     }
   }
-  if (!crashes.empty()) {
-    DSMS_RETURN_IF_ERROR(ParseCrash(crashes[0], &experiment.recovery));
+  if (const ExpStatement* s = only("crash")) {
+    DSMS_RETURN_IF_ERROR(ParseCrash(*s, &experiment.recovery));
   }
-  if (!states.empty()) {
-    DSMS_RETURN_IF_ERROR(ParseState(states[0], &experiment.storage));
+  if (const ExpStatement* s = only("state")) {
+    DSMS_RETURN_IF_ERROR(ParseState(*s, &experiment.storage));
   }
-  for (const ExpStatement& s : netfaults) {
+  for (const ExpStatement& s : statements["netfault"]) {
     NetFaultSpec fault;
     DSMS_RETURN_IF_ERROR(ParseNetFault(s, &fault));
     experiment.netfaults.push_back(fault);
@@ -784,6 +743,99 @@ ExecConfig ExecConfigForRun(const RunSpec& run) {
   return config;
 }
 
+Result<std::unique_ptr<Executor>> MakeExecutor(QueryGraph* graph,
+                                               VirtualClock* clock,
+                                               const ExecConfig& config,
+                                               ExecutorKind kind,
+                                               int quantum) {
+  // Only the DFS strategy shards: its schedule is what the deterministic
+  // shard mode replicates.
+  if (config.shards > 1 && kind != ExecutorKind::kDfs) {
+    return InvalidArgumentError(StrFormat(
+        "shards=%d requires executor=dfs (only the DFS strategy shards)",
+        config.shards));
+  }
+  switch (kind) {
+    case ExecutorKind::kDfs:
+      if (config.shards > 1) {
+        return std::unique_ptr<Executor>(
+            std::make_unique<ShardedExecutor>(graph, clock, config));
+      }
+      return std::unique_ptr<Executor>(
+          std::make_unique<DfsExecutor>(graph, clock, config));
+    case ExecutorKind::kRoundRobin:
+      return std::unique_ptr<Executor>(std::make_unique<RoundRobinExecutor>(
+          graph, clock, config, quantum));
+    case ExecutorKind::kGreedyMemory:
+      return std::unique_ptr<Executor>(
+          std::make_unique<GreedyMemoryExecutor>(graph, clock, config));
+  }
+  return InternalError("unreachable executor kind");
+}
+
+StorageConfig StorageConfigForSpec(const StorageSpec& storage,
+                                   OverloadPolicy overload) {
+  StorageConfig config;
+  config.mem_budget = storage.mem_budget;
+  config.spill_dir = storage.spill_dir;
+  config.granularity = storage.granularity;
+  config.overload = overload;
+  return config;
+}
+
+RecoveryOptions RecoveryOptionsForSpec(const RecoverySpec& recovery) {
+  RecoveryOptions options;
+  options.dir = recovery.dir;
+  options.wal = recovery.wal;
+  options.sync = recovery.sync;
+  options.sync_interval_bytes = recovery.sync_interval_bytes;
+  options.segment_bytes = recovery.segment_bytes;
+  options.checkpoint = recovery.checkpoint;
+  options.checkpoint_horizon = recovery.checkpoint_horizon;
+  options.keep = recovery.keep;
+  return options;
+}
+
+ExperimentReport CollectExperimentReport(const QueryGraph& graph,
+                                         const Executor& executor,
+                                         Timestamp end_time,
+                                         const QueueSizeTracker& queues,
+                                         const OrderValidator& validator) {
+  ExperimentReport report;
+  report.end_time = end_time;
+  for (Sink* sink : graph.sinks()) {
+    SinkReport sr;
+    sr.name = sink->name();
+    sr.tuples = sink->data_delivered();
+    sr.mean_latency_ms = sink->latency().mean_ms();
+    sr.p99_latency_ms = sink->latency().p99_us() / 1000.0;
+    report.sinks.push_back(std::move(sr));
+  }
+  report.peak_queue_total = queues.peak_total();
+  report.ets_generated = executor.ets_generated();
+  report.lease_expired_ets = executor.stats().lease_expired_ets;
+  for (Source* source : graph.sources()) {
+    if (source->degraded()) report.degraded = true;
+  }
+  report.shed_tuples = graph.TotalShedTuples();
+  report.quarantined = validator.quarantined();
+  report.dropped_late = validator.dropped();
+  report.buffer_order_violations = validator.violations();
+  report.max_buffer_hwm = graph.MaxBufferHighWaterMark();
+  if (auto* sharded = dynamic_cast<const ShardedExecutor*>(&executor)) {
+    report.shards_used = static_cast<uint64_t>(sharded->num_shards());
+    report.shard_hops = sharded->shard_hops();
+    report.shard_epochs = sharded->epochs();
+  }
+  if (graph.state_store() != nullptr) {
+    report.storage = graph.state_store()->stats();
+  }
+  report.exec = executor.stats();
+  report.operator_stats = OperatorStatsString(graph);
+  report.robustness = RobustnessReportString(graph, &validator);
+  return report;
+}
+
 Result<ExperimentReport> RunExperiment(Experiment* experiment) {
   QueryGraph* graph = experiment->plan.graph.get();
   if (graph == nullptr || !graph->validated()) {
@@ -802,33 +854,15 @@ Result<ExperimentReport> RunExperiment(Experiment* experiment) {
                           experiment->run.overload);
   }
   if (experiment->storage.enabled && graph->state_store() == nullptr) {
-    StorageConfig storage_config;
-    storage_config.mem_budget = experiment->storage.mem_budget;
-    storage_config.spill_dir = experiment->storage.spill_dir;
-    storage_config.granularity = experiment->storage.granularity;
-    storage_config.overload = experiment->run.overload;
-    DSMS_RETURN_IF_ERROR(graph->ConfigureStateStore(storage_config));
+    DSMS_RETURN_IF_ERROR(graph->ConfigureStateStore(
+        StorageConfigForSpec(experiment->storage, experiment->run.overload)));
   }
-  std::unique_ptr<Executor> executor;
-  switch (experiment->run.executor) {
-    case ExecutorKind::kDfs:
-      if (experiment->run.shards > 1) {
-        executor = std::make_unique<ShardedExecutor>(graph, &clock, config);
-      } else {
-        executor = std::make_unique<DfsExecutor>(graph, &clock, config);
-      }
-      break;
-    case ExecutorKind::kRoundRobin:
-      executor = std::make_unique<RoundRobinExecutor>(
-          graph, &clock, config, experiment->run.quantum);
-      break;
-    case ExecutorKind::kGreedyMemory:
-      executor =
-          std::make_unique<GreedyMemoryExecutor>(graph, &clock, config);
-      break;
-  }
+  Result<std::unique_ptr<Executor>> executor =
+      MakeExecutor(graph, &clock, config, experiment->run.executor,
+                   experiment->run.quantum);
+  if (!executor.ok()) return executor.status();
 
-  Simulation sim(graph, executor.get(), &clock);
+  Simulation sim(graph, executor->get(), &clock);
   if (tracer != nullptr) sim.AttachTracer(tracer.get());
   sim.set_violation_policy(experiment->run.violations);
   for (const FeedSpec& feed : experiment->feeds) {
@@ -859,39 +893,10 @@ Result<ExperimentReport> RunExperiment(Experiment* experiment) {
 
   sim.Run(experiment->run.horizon, experiment->run.warmup);
 
-  ExperimentReport report;
-  report.end_time = clock.now();
-  for (Sink* sink : graph->sinks()) {
-    SinkReport sr;
-    sr.name = sink->name();
-    sr.tuples = sink->data_delivered();
-    sr.mean_latency_ms = sink->latency().mean_ms();
-    sr.p99_latency_ms = sink->latency().p99_us() / 1000.0;
-    report.sinks.push_back(std::move(sr));
-  }
-  report.peak_queue_total = sim.queue_tracker().peak_total();
-  report.ets_generated = executor->ets_generated();
+  ExperimentReport report =
+      CollectExperimentReport(*graph, **executor, clock.now(),
+                              sim.queue_tracker(), sim.order_validator());
   report.fault_events = sim.fault_events();
-  report.lease_expired_ets = executor->stats().lease_expired_ets;
-  for (Source* source : graph->sources()) {
-    if (source->degraded()) report.degraded = true;
-  }
-  report.shed_tuples = graph->TotalShedTuples();
-  report.quarantined = sim.order_validator().quarantined();
-  report.dropped_late = sim.order_validator().dropped();
-  report.buffer_order_violations = sim.order_validator().violations();
-  report.max_buffer_hwm = graph->MaxBufferHighWaterMark();
-  if (auto* sharded = dynamic_cast<ShardedExecutor*>(executor.get())) {
-    report.shards_used = static_cast<uint64_t>(sharded->num_shards());
-    report.shard_hops = sharded->shard_hops();
-    report.shard_epochs = sharded->epochs();
-  }
-  if (graph->state_store() != nullptr) {
-    report.storage = graph->state_store()->stats();
-  }
-  report.exec = executor->stats();
-  report.operator_stats = OperatorStatsString(*graph);
-  report.robustness = RobustnessReportString(*graph, &sim.order_validator());
 
   if (tracer != nullptr) {
     std::ofstream out(experiment->trace.path,

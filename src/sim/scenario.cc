@@ -10,15 +10,13 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/strings.h"
-#include "exec/dfs_executor.h"
-#include "exec/greedy_memory_executor.h"
-#include "exec/round_robin_executor.h"
 #include "exec/sharded_executor.h"
 #include "graph/graph_builder.h"
 #include "obs/metrics_registry.h"
 #include "obs/tracer.h"
 #include "operators/iwp_operator.h"
 #include "sim/arrival_process.h"
+#include "sim/experiment_spec.h"
 #include "sim/simulation.h"
 
 namespace dsms {
@@ -309,29 +307,12 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
     tracer = std::make_unique<Tracer>(&clock, config.trace_capacity);
     exec_config.tracer = tracer.get();
   }
-  // Only the DFS strategy shards (its schedule is what the deterministic
-  // mode replicates); shards > 1 with another executor is a config error.
-  DSMS_CHECK(config.shards == 1 || config.executor == ExecutorKind::kDfs);
-  std::unique_ptr<Executor> executor;
-  switch (config.executor) {
-    case ExecutorKind::kDfs:
-      if (config.shards > 1) {
-        executor = std::make_unique<ShardedExecutor>(graph.get(), &clock,
-                                                     exec_config);
-      } else {
-        executor =
-            std::make_unique<DfsExecutor>(graph.get(), &clock, exec_config);
-      }
-      break;
-    case ExecutorKind::kRoundRobin:
-      executor = std::make_unique<RoundRobinExecutor>(
-          graph.get(), &clock, exec_config, config.rr_quantum);
-      break;
-    case ExecutorKind::kGreedyMemory:
-      executor = std::make_unique<GreedyMemoryExecutor>(graph.get(), &clock,
-                                                        exec_config);
-      break;
-  }
+  // MakeExecutor refuses shards > 1 with a non-DFS executor: a config error.
+  Result<std::unique_ptr<Executor>> made =
+      MakeExecutor(graph.get(), &clock, exec_config, config.executor,
+                   config.rr_quantum);
+  DSMS_CHECK_OK(made.status());
+  std::unique_ptr<Executor> executor = std::move(*made);
 
   // Self-check every delivery for timestamp-order violations; the paper's
   // operators are order-preserving by construction, so any violation is an

@@ -232,16 +232,40 @@ run ets=perhaps
 
 // A retired or misspelled run key must fail the parse: silently ignoring
 // `watchdog=` or `leas=` would leave liveness disarmed.
-TEST(ExperimentSpecTest, ErrorUnknownRunKey) {
-  for (const char* key : {"watchdog", "leas"}) {
+TEST(ExperimentSpecTest, ErrorUnknownKeyInEveryStatement) {
+  // A misspelled or retired key fails the parse in every statement type,
+  // instead of silently leaving its knob at the default.
+  struct Case {
+    const char* statement;
+    const char* type;
+    const char* key;
+  };
+  const Case kCases[] = {
+      {"feed S process=poisson rate=5 sede=9", "feed", "sede"},
+      {"heartbeat S period=1s phse=10ms", "heartbeat", "phse"},
+      {"fault S kind=stall strat=1s", "fault", "strat"},
+      {"run horizon=10s watchdog=5s", "run", "watchdog"},
+      {"run horizon=10s leas=5s", "run", "leas"},
+      {"batch size=4 rows=4", "batch", "rows"},
+      {"trace path=/tmp/never-written.json cap=8", "trace", "cap"},
+      {"wal dir=/tmp/never-opened synch=none", "wal", "synch"},
+      {"checkpoint horizon=1s kept=2", "checkpoint", "kept"},
+      {"crash at=1s when=2s", "crash", "when"},
+      {"state mem_budget=4k spill_dir=/tmp/never-made budget=1", "state",
+       "budget"},
+      {"netfault kind=split sed=3", "netfault", "sed"},
+  };
+  for (const Case& c : kCases) {
     auto experiment = ParseExperiment(std::string(R"(
 stream S ts=internal
 sink OUT in=S
-feed S process=poisson rate=1
-run horizon=10s )") + key + "=5s\n");
-    ASSERT_FALSE(experiment.ok()) << key;
+)") + c.statement + "\n",
+                                      /*require_feeds=*/false);
+    EXPECT_FALSE(experiment.ok()) << c.statement;
+    if (experiment.ok()) continue;
     EXPECT_EQ(experiment.status().message(),
-              std::string("line 5: unknown run key '") + key + "'");
+              std::string("line 4: unknown ") + c.type + " key '" + c.key +
+                  "'");
   }
 }
 

@@ -21,10 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <functional>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,11 +30,10 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-#include "common/clock.h"
 #include "core/tuple.h"
-#include "exec/dfs_executor.h"
 #include "frontier/frontier_tracker.h"
 #include "graph/query_graph.h"
+#include "loopback_harness.h"
 #include "net/feed_client.h"
 #include "net/feed_schedule.h"
 #include "net/ingest_server.h"
@@ -46,26 +42,18 @@
 #include "obs/metrics_registry.h"
 #include "operators/sink.h"
 #include "operators/source.h"
-#include "recovery/recovery_manager.h"
 #include "sim/experiment_spec.h"
 
 namespace dsms {
 namespace {
 
 using ::testing::HasSubstr;
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream contents;
-  contents << in.rdbuf();
-  return contents.str();
-}
+using test::BuildSchedule;
+using test::ExpectSameTuples;
+using test::ReadFile;
 
 std::string FreshDir(const std::string& tag) {
-  std::string dir = ::testing::TempDir() + "/dsms_chaos_" + tag;
-  std::string cleanup = "rm -rf '" + dir + "'";
-  DSMS_CHECK(std::system(cleanup.c_str()) == 0);
-  return dir;
+  return test::FreshDir("chaos_" + tag);
 }
 
 int RawConnect(uint16_t port) {
@@ -99,23 +87,6 @@ Result<WireFrame> ReadControlFrame(int fd) {
   }
 }
 
-void ExpectSameTuples(const std::vector<Tuple>& want,
-                      const std::vector<Tuple>& got) {
-  ASSERT_EQ(want.size(), got.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(want[i].kind(), got[i].kind());
-    ASSERT_EQ(want[i].has_timestamp(), got[i].has_timestamp());
-    if (want[i].has_timestamp()) {
-      EXPECT_EQ(want[i].timestamp(), got[i].timestamp());
-    }
-    ASSERT_EQ(want[i].num_values(), got[i].num_values());
-    for (int v = 0; v < want[i].num_values(); ++v) {
-      EXPECT_EQ(want[i].values()[v], got[i].values()[v]) << "value " << v;
-    }
-  }
-}
-
 // Mixed internal/external plan with a heartbeat and a lossy filter: enough
 // structure that delivery order, punctuation, and RNG positions all have to
 // survive the chaos for outputs to line up.
@@ -131,70 +102,23 @@ heartbeat B period=250ms
 run horizon=2s ets=on-demand
 )";
 
-std::vector<ScheduledFrame> BuildScheduleFor(const std::string& text) {
-  Result<Experiment> experiment = ParseExperiment(text);
-  DSMS_CHECK(experiment.ok());
-  Result<std::vector<ScheduledFrame>> schedule =
-      BuildFeedSchedule(*experiment, experiment->run.horizon);
-  DSMS_CHECK(schedule.ok());
-  return *std::move(schedule);
-}
-
-// The streamets_serve engine stack without recovery, with an options hook so
-// each test can arm the hardening knob it exercises.
-struct ChaosHarness {
+// The served engine (tests/loopback_harness.h) with the clock mode a test
+// picks and an options hook for the hardening knob it exercises.
+struct ChaosHarness : test::LoopbackHarness {
   explicit ChaosHarness(
       const std::string& text,
       IngestClock::Mode mode = IngestClock::Mode::kFrameDriven,
-      std::function<void(IngestServerOptions*)> patch = {}) {
-    Result<Experiment> parsed = ParseExperiment(text, /*require_feeds=*/false);
-    DSMS_CHECK(parsed.ok());
-    experiment = std::make_unique<Experiment>(std::move(*parsed));
-    graph = experiment->plan.graph.get();
-    for (Sink* sink : graph->sinks()) sink->set_collect(true);
-
-    ExecConfig config = ExecConfigForRun(experiment->run);
-    if (experiment->run.buffer_cap > 0) {
-      graph->SetBufferBound(experiment->run.buffer_cap,
-                            experiment->run.overload);
-    }
-    executor = std::make_unique<DfsExecutor>(graph, &clock, config);
-
-    IngestServerOptions options;
-    options.clock_mode = mode;
-    options.horizon = experiment->run.horizon;
-    options.wall_limit = 60 * kSecond;  // hang guard
-    if (patch) patch(&options);
-    server = std::make_unique<IngestServer>(graph, executor.get(), &clock,
-                                            options);
-    server->set_violation_policy(experiment->run.violations);
-  }
-
-  void Serve() {
-    DSMS_CHECK(server->Start().ok());
-    thread = std::thread([this] { run_status = server->Run(); });
-  }
-  Status Join() {
-    if (!thread.joinable()) return InternalError("server never started");
-    thread.join();
-    return run_status;
-  }
-
-  Sink* sink() { return graph->sinks().front(); }
-
-  std::unique_ptr<Experiment> experiment;
-  QueryGraph* graph = nullptr;
-  VirtualClock clock;
-  std::unique_ptr<Executor> executor;
-  std::unique_ptr<IngestServer> server;
-  std::thread thread;
-  Status run_status;
+      const std::function<void(IngestServerOptions*)>& patch = {})
+      : LoopbackHarness(text, [&](IngestServerOptions* options) {
+          options->clock_mode = mode;
+          if (patch) patch(options);
+        }) {}
 };
 
 // Fault-free reference: the same plan replayed by an honest FeedClient.
 std::vector<Tuple> CleanCollected(const std::string& text) {
   ChaosHarness harness(text);
-  const std::vector<ScheduledFrame> schedule = BuildScheduleFor(text);
+  const std::vector<ScheduledFrame> schedule = BuildSchedule(text);
   harness.Serve();
   FeedClientOptions copts;
   copts.port = harness.server->port();
@@ -207,72 +131,22 @@ std::vector<Tuple> CleanCollected(const std::string& text) {
   return harness.sink()->collected();
 }
 
-// The recovery-enabled stack (WAL + checkpoints), in streamets_serve's phase
-// order — the chaos kinds that kill the connection resume through this.
-struct WalHarness {
-  WalHarness(const std::string& text, const std::string& dir,
-             std::function<void(IngestServerOptions*)> patch = {}) {
-    Result<Experiment> parsed = ParseExperiment(text, /*require_feeds=*/false);
-    DSMS_CHECK(parsed.ok());
-    experiment = std::make_unique<Experiment>(std::move(*parsed));
-    graph = experiment->plan.graph.get();
+// kChaosPlan with a WAL synced every frame and 250 ms checkpoints: the
+// chaos kinds that kill the connection resume through it. Each run points
+// `wal dir=` at its own directory.
+const std::string kChaosWalPlan =
+    std::string(kChaosPlan) +
+    "wal dir=unset sync=every_frame\ncheckpoint horizon=250ms\n";
 
-    RecoveryOptions ropts;
-    ropts.dir = dir;
-    ropts.wal = true;
-    ropts.sync = WalSyncPolicy::kEveryFrame;
-    ropts.checkpoint = true;
-    ropts.checkpoint_horizon = 250 * kMillisecond;
-    recovery = std::make_unique<RecoveryManager>(ropts);
-    DSMS_CHECK(recovery->Open().ok());
-    recovery->RestoreGraph(graph, &clock);
-
-    ExecConfig config = ExecConfigForRun(experiment->run);
-    executor = std::make_unique<DfsExecutor>(graph, &clock, config);
-    recovery->RestoreExecutor(executor.get());
-    DSMS_CHECK(recovery->AttachSinks(graph).ok());
-
-    IngestServerOptions options;
-    options.clock_mode = IngestClock::Mode::kFrameDriven;
-    options.horizon = experiment->run.horizon;
-    options.wall_limit = 60 * kSecond;
-    if (patch) patch(&options);
-    server = std::make_unique<IngestServer>(graph, executor.get(), &clock,
-                                            options);
-    server->set_violation_policy(experiment->run.violations);
-    server->AttachRecovery(recovery.get());
-    if (!recovery->recovered_net_blob().empty()) {
-      DSMS_CHECK(server->RestoreNetState(recovery->recovered_net_blob()).ok());
-    }
-  }
-
-  void Serve() {
-    DSMS_CHECK(server->Start().ok());
-    if (recovery->recovered()) {
-      DSMS_CHECK(server->ReplayRecoveredWal().ok());
-    }
-    thread = std::thread([this] { run_status = server->Run(); });
-  }
-  Status Join() {
-    if (!thread.joinable()) return InternalError("server never started");
-    thread.join();
-    return run_status;
-  }
-
-  std::unique_ptr<Experiment> experiment;
-  QueryGraph* graph = nullptr;
-  VirtualClock clock;
-  std::unique_ptr<RecoveryManager> recovery;
-  std::unique_ptr<Executor> executor;
-  std::unique_ptr<IngestServer> server;
-  std::thread thread;
-  Status run_status;
+struct WalHarness : test::LoopbackHarness {
+  explicit WalHarness(const std::string& dir)
+      : LoopbackHarness(kChaosWalPlan, {}, dir) {}
 };
 
 // Fault-free reference through the WAL stack: durable sink bytes.
 std::string WalReferenceSink(const std::string& dir) {
-  const std::vector<ScheduledFrame> schedule = BuildScheduleFor(kChaosPlan);
-  WalHarness harness(kChaosPlan, dir);
+  const std::vector<ScheduledFrame> schedule = BuildSchedule(kChaosPlan);
+  WalHarness harness(dir);
   harness.Serve();
   FeedClientOptions copts;
   copts.port = harness.server->port();
@@ -295,8 +169,8 @@ std::string WalReferenceSink(const std::string& dir) {
 ChaosFeedReport RunWalChaos(
     const std::string& dir, const NetFaultSpec& spec,
     const std::function<void(WalHarness&)>& inspect = {}) {
-  const std::vector<ScheduledFrame> schedule = BuildScheduleFor(kChaosPlan);
-  WalHarness harness(kChaosPlan, dir);
+  const std::vector<ScheduledFrame> schedule = BuildSchedule(kChaosPlan);
+  WalHarness harness(dir);
   harness.Serve();
   FeedClientOptions copts;
   copts.port = harness.server->port();
@@ -318,7 +192,7 @@ ChaosFeedReport RunWalChaos(
 TEST(NetChaosLoopbackTest, SplitReplayIsByteIdenticalAndDeterministic) {
   const std::vector<Tuple> reference = CleanCollected(kChaosPlan);
   ASSERT_GT(reference.size(), 0u);
-  const std::vector<ScheduledFrame> schedule = BuildScheduleFor(kChaosPlan);
+  const std::vector<ScheduledFrame> schedule = BuildSchedule(kChaosPlan);
 
   NetFaultSpec spec;
   spec.kind = NetFaultKind::kSplit;
@@ -357,7 +231,7 @@ TEST(NetChaosLoopbackTest, SplitReplayIsByteIdenticalAndDeterministic) {
 
 TEST(NetChaosLoopbackTest, CoalescedWritesPreserveOutput) {
   const std::vector<Tuple> reference = CleanCollected(kChaosPlan);
-  const std::vector<ScheduledFrame> schedule = BuildScheduleFor(kChaosPlan);
+  const std::vector<ScheduledFrame> schedule = BuildSchedule(kChaosPlan);
 
   NetFaultSpec spec;
   spec.kind = NetFaultKind::kCoalesce;
@@ -381,7 +255,7 @@ TEST(NetChaosLoopbackTest, CoalescedWritesPreserveOutput) {
 
 TEST(NetChaosLoopbackTest, SlowlorisDripPreservesOutput) {
   const std::vector<Tuple> reference = CleanCollected(kChaosPlan);
-  const std::vector<ScheduledFrame> schedule = BuildScheduleFor(kChaosPlan);
+  const std::vector<ScheduledFrame> schedule = BuildSchedule(kChaosPlan);
 
   NetFaultSpec spec;
   spec.kind = NetFaultKind::kSlowloris;
@@ -406,7 +280,7 @@ TEST(NetChaosLoopbackTest, SlowlorisDripPreservesOutput) {
 
 TEST(NetChaosLoopbackTest, ChaosProxySplitKeepsServerOutputIdentical) {
   const std::vector<Tuple> reference = CleanCollected(kChaosPlan);
-  const std::vector<ScheduledFrame> schedule = BuildScheduleFor(kChaosPlan);
+  const std::vector<ScheduledFrame> schedule = BuildSchedule(kChaosPlan);
 
   ChaosHarness harness(kChaosPlan);
   harness.Serve();
@@ -441,7 +315,7 @@ TEST(NetChaosLoopbackTest, ChaosProxySplitKeepsServerOutputIdentical) {
 
 TEST(NetChaosLoopbackTest, HalfOpenPeersAreReapedByTheHandshakeDeadline) {
   const std::vector<Tuple> reference = CleanCollected(kChaosPlan);
-  const std::vector<ScheduledFrame> schedule = BuildScheduleFor(kChaosPlan);
+  const std::vector<ScheduledFrame> schedule = BuildSchedule(kChaosPlan);
 
   ChaosHarness harness(kChaosPlan, IngestClock::Mode::kFrameDriven,
                        [](IngestServerOptions* o) {
@@ -503,7 +377,7 @@ run horizon=1s ets=on-demand
                          o->min_bytes_per_second = 200;
                          o->slow_peer_window = 100 * kMillisecond;
                        });
-  const std::vector<ScheduledFrame> schedule = BuildScheduleFor(kLadderPlan);
+  const std::vector<ScheduledFrame> schedule = BuildSchedule(kLadderPlan);
   harness.Serve();
 
   // The mute peer: one healthy frame on SLOW (so the stream is attributed
@@ -580,7 +454,7 @@ TEST(NetChaosLoopbackTest, RstMidFrameReplaysExactlyOnce) {
   // Exactly-once: every schedule frame was delivered exactly once despite
   // three mid-frame resets — the truncated copies never decoded, and the
   // resume handshake skipped everything already durable.
-  EXPECT_EQ(ingested, BuildScheduleFor(kChaosPlan).size());
+  EXPECT_EQ(ingested, BuildSchedule(kChaosPlan).size());
   EXPECT_EQ(ReadFile(dir + "/sink-OUT.out"), reference);
 }
 
@@ -781,7 +655,7 @@ TEST(NetChaosLoopbackTest, ShortWritesDripTheHandshakeReply) {
   // resume-state reply; the handshake must still complete.
   ChaosHarness harness(kChaosPlan, IngestClock::Mode::kFrameDriven,
                        [](IngestServerOptions* o) { o->max_write_bytes = 1; });
-  const std::vector<ScheduledFrame> schedule = BuildScheduleFor(kChaosPlan);
+  const std::vector<ScheduledFrame> schedule = BuildSchedule(kChaosPlan);
   harness.Serve();
 
   FeedClientOptions copts;
@@ -869,7 +743,7 @@ TEST(NetChaosLoopbackTest, FailoverDialsTheFallbackAddress) {
   ::close(probe);
 
   ChaosHarness harness(kChaosPlan);
-  const std::vector<ScheduledFrame> schedule = BuildScheduleFor(kChaosPlan);
+  const std::vector<ScheduledFrame> schedule = BuildSchedule(kChaosPlan);
   harness.Serve();
 
   FeedClientOptions copts;

@@ -15,18 +15,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/check.h"
-#include "common/clock.h"
 #include "core/tuple.h"
-#include "exec/dfs_executor.h"
+#include "exec/round_robin_executor.h"
+#include "exec/sharded_executor.h"
 #include "graph/query_graph.h"
+#include "loopback_harness.h"
 #include "net/feed_client.h"
 #include "net/feed_schedule.h"
 #include "net/ingest_server.h"
@@ -39,76 +37,17 @@
 namespace dsms {
 namespace {
 
-// Parses `text` and assembles the same engine stack streamets_serve builds:
-// clock, DFS executor configured from the run statement, collecting sinks,
-// and an IngestServer ready to Start().
-struct ServerHarness {
+// The served engine (tests/loopback_harness.h) with the clock mode and
+// idle timeout each test picks.
+struct ServerHarness : test::LoopbackHarness {
   explicit ServerHarness(const std::string& text,
                          IngestClock::Mode mode = IngestClock::Mode::kFrameDriven,
-                         Duration idle_timeout = 0) {
-    Result<Experiment> parsed =
-        ParseExperiment(text, /*require_feeds=*/false);
-    DSMS_CHECK(parsed.ok());
-    experiment = std::make_unique<Experiment>(std::move(*parsed));
-    graph = experiment->plan.graph.get();
-    for (Sink* sink : graph->sinks()) sink->set_collect(true);
-
-    ExecConfig config = ExecConfigForRun(experiment->run);
-    if (experiment->run.buffer_cap > 0) {
-      graph->SetBufferBound(experiment->run.buffer_cap,
-                            experiment->run.overload);
-    }
-    executor = std::make_unique<DfsExecutor>(graph, &clock, config);
-
-    IngestServerOptions options;
-    options.clock_mode = mode;
-    options.horizon = experiment->run.horizon;
-    options.wall_limit = 60 * kSecond;  // hang guard; tests finish long before
-    options.idle_timeout = idle_timeout;
-    server = std::make_unique<IngestServer>(graph, executor.get(), &clock,
-                                            options);
-    server->set_violation_policy(experiment->run.violations);
-  }
-
-  // Starts the server and runs it on a background thread; Join() returns
-  // Run's status.
-  void Serve() {
-    ASSERT_TRUE(server->Start().ok());
-    thread = std::thread([this] { run_status = server->Run(); });
-  }
-  Status Join() {
-    if (!thread.joinable()) return InternalError("server never started");
-    thread.join();
-    return run_status;
-  }
-
-  Sink* sink() { return graph->sinks().front(); }
-
-  std::unique_ptr<Experiment> experiment;
-  QueryGraph* graph = nullptr;
-  VirtualClock clock;
-  std::unique_ptr<Executor> executor;
-  std::unique_ptr<IngestServer> server;
-  std::thread thread;
-  Status run_status;
+                         Duration idle_timeout = 0)
+      : LoopbackHarness(text, [&](IngestServerOptions* options) {
+          options->clock_mode = mode;
+          options->idle_timeout = idle_timeout;
+        }) {}
 };
-
-void ExpectSameTuples(const std::vector<Tuple>& sim,
-                      const std::vector<Tuple>& net) {
-  ASSERT_EQ(sim.size(), net.size());
-  for (size_t i = 0; i < sim.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(sim[i].kind(), net[i].kind());
-    ASSERT_EQ(sim[i].has_timestamp(), net[i].has_timestamp());
-    if (sim[i].has_timestamp()) {
-      EXPECT_EQ(sim[i].timestamp(), net[i].timestamp());
-    }
-    ASSERT_EQ(sim[i].num_values(), net[i].num_values());
-    for (int v = 0; v < sim[i].num_values(); ++v) {
-      EXPECT_EQ(sim[i].values()[v], net[i].values()[v]) << "value " << v;
-    }
-  }
-}
 
 // A mixed internal/external plan with a heartbeat — enough structure that
 // timestamp assignment, jitter, clamping, and punctuation all matter.
@@ -124,42 +63,58 @@ heartbeat B period=250ms
 run horizon=2s ets=on-demand
 )";
 
+// kEquivalencePlan with `keys` added to its run statement. The served
+// stack must run the plan's executor, as the Simulation does.
+std::string EquivalencePlanWith(const std::string& keys) {
+  std::string plan = kEquivalencePlan;
+  const std::string run = "run horizon=2s ets=on-demand";
+  plan.replace(plan.find(run), run.size(), run + " " + keys);
+  return plan;
+}
+
 TEST(NetLoopbackTest, FrameDrivenReplayMatchesSimulationBitForBit) {
-  // Reference run: the discrete-event simulation.
-  Result<Experiment> sim_exp = ParseExperiment(kEquivalencePlan);
-  ASSERT_TRUE(sim_exp.ok());
-  Sink* sim_sink = sim_exp->plan.graph->sinks().front();
-  sim_sink->set_collect(true);
-  Result<ExperimentReport> sim_report = RunExperiment(&*sim_exp);
-  ASSERT_TRUE(sim_report.ok());
-  ASSERT_GT(sim_sink->collected().size(), 0u);
-  EXPECT_EQ(sim_report->buffer_order_violations, 0u);
+  for (const std::string& plan :
+       {std::string(kEquivalencePlan),
+        EquivalencePlanWith("executor=round-robin quantum=4"),
+        EquivalencePlanWith("shards=2")}) {
+    SCOPED_TRACE(plan);
+    // Reference run: the discrete-event simulation.
+    Result<Experiment> sim_exp = ParseExperiment(plan);
+    ASSERT_TRUE(sim_exp.ok());
+    Sink* sim_sink = sim_exp->plan.graph->sinks().front();
+    sim_sink->set_collect(true);
+    Result<ExperimentReport> sim_report = RunExperiment(&*sim_exp);
+    ASSERT_TRUE(sim_report.ok());
+    ASSERT_GT(sim_sink->collected().size(), 0u);
+    EXPECT_EQ(sim_report->buffer_order_violations, 0u);
 
-  // Network run: the same file expanded to frames and replayed over TCP
-  // into a frame-driven server.
-  ServerHarness harness(kEquivalencePlan);
-  Result<Experiment> feed_exp = ParseExperiment(kEquivalencePlan);
-  ASSERT_TRUE(feed_exp.ok());
-  Result<std::vector<ScheduledFrame>> schedule =
-      BuildFeedSchedule(*feed_exp, feed_exp->run.horizon);
-  ASSERT_TRUE(schedule.ok());
-  ASSERT_GT(schedule->size(), 0u);
+    // Network run: the same file expanded to frames and replayed over TCP
+    // into a frame-driven server.
+    ServerHarness harness(plan);
+    EXPECT_EQ(dynamic_cast<RoundRobinExecutor*>(harness.executor) != nullptr,
+              harness.experiment->run.executor == ExecutorKind::kRoundRobin);
+    EXPECT_EQ(dynamic_cast<ShardedExecutor*>(harness.executor) != nullptr,
+              harness.experiment->run.shards > 1);
+    const std::vector<ScheduledFrame> schedule = test::BuildSchedule(plan);
+    ASSERT_GT(schedule.size(), 0u);
 
-  harness.Serve();
-  FeedClientOptions copts;
-  copts.port = harness.server->port();
-  FeedClient client(copts);
-  ASSERT_TRUE(client.Connect().ok());
-  Result<uint64_t> sent = client.Send(*schedule);
-  ASSERT_TRUE(sent.ok());
-  EXPECT_EQ(*sent, schedule->size());
-  client.Close();
-  ASSERT_TRUE(harness.Join().ok());
+    harness.Serve();
+    FeedClientOptions copts;
+    copts.port = harness.server->port();
+    FeedClient client(copts);
+    ASSERT_TRUE(client.Connect().ok());
+    Result<uint64_t> sent = client.Send(schedule);
+    ASSERT_TRUE(sent.ok());
+    EXPECT_EQ(*sent, schedule.size());
+    client.Close();
+    ASSERT_TRUE(harness.Join().ok());
 
-  EXPECT_EQ(harness.server->frames_ingested(), schedule->size());
-  EXPECT_EQ(harness.server->decode_errors(), 0u);
-  EXPECT_EQ(harness.server->order_validator().violations(), 0u);
-  ExpectSameTuples(sim_sink->collected(), harness.sink()->collected());
+    EXPECT_EQ(harness.server->frames_ingested(), schedule.size());
+    EXPECT_EQ(harness.server->decode_errors(), 0u);
+    EXPECT_EQ(harness.server->order_validator().violations(), 0u);
+    test::ExpectSameTuples(sim_sink->collected(),
+                           harness.sink()->collected());
+  }
 }
 
 TEST(NetLoopbackTest, LeaseEtsFiresWhenFeederDies) {

@@ -5,28 +5,22 @@
 // resuming client. The headline assertion is exactly-once output: the
 // recovered durable sink file is byte-identical to an uninterrupted run's.
 
-#include <fstream>
-#include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-#include "common/clock.h"
-#include "exec/dfs_executor.h"
 #include "exec/sharded_executor.h"
 #include "frontier/frontier_tracker.h"
 #include "graph/query_graph.h"
+#include "loopback_harness.h"
 #include "net/feed_client.h"
 #include "net/feed_schedule.h"
 #include "net/ingest_server.h"
 #include "net/wire_format.h"
 #include "operators/sink.h"
 #include "operators/source.h"
-#include "recovery/recovery_manager.h"
 #include "sim/experiment_spec.h"
 #include "storage/block_file.h"
 #include "storage/state_store.h"
@@ -34,102 +28,26 @@
 namespace dsms {
 namespace {
 
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream contents;
-  contents << in.rdbuf();
-  return contents.str();
-}
+using test::BuildSchedule;
+using test::ReadFile;
 
 std::string FreshDir(const std::string& tag) {
-  std::string dir = ::testing::TempDir() + "/dsms_recovery_loopback_" + tag;
-  std::string cleanup = "rm -rf '" + dir + "'";
-  DSMS_CHECK(std::system(cleanup.c_str()) == 0);
-  return dir;
+  return test::FreshDir("recovery_loopback_" + tag);
 }
 
-// The streamets_serve engine stack with recovery attached, assembled in the
-// exact phase order the binary uses (restore before the executor ctor, net
-// state before Start, WAL replay between Start and Run).
-struct RecoveryHarness {
+// The served engine (tests/loopback_harness.h) with the recovery its plan's
+// `wal`/`checkpoint` statements configure, `dir` standing in for their
+// @WAL@ directory (as streamets_serve --wal-dir does), and an optional
+// scheduled crash.
+struct RecoveryHarness : test::LoopbackHarness {
   RecoveryHarness(const std::string& text, const std::string& dir,
-                  Timestamp crash_at = 0) {
-    Result<Experiment> parsed =
-        ParseExperiment(text, /*require_feeds=*/false);
-    DSMS_CHECK(parsed.ok());
-    experiment = std::make_unique<Experiment>(std::move(*parsed));
-    graph = experiment->plan.graph.get();
-
-    RecoveryOptions ropts;
-    ropts.dir = dir;
-    ropts.wal = true;
-    ropts.sync = WalSyncPolicy::kEveryFrame;
-    ropts.checkpoint = true;
-    ropts.checkpoint_horizon = 250 * kMillisecond;
-    recovery = std::make_unique<RecoveryManager>(ropts);
-    DSMS_CHECK(recovery->Open().ok());
-    // The state store must exist BEFORE RestoreGraph: the restored
-    // checkpoint manifest and the operators' spilled-block descriptors
-    // claim their block files against it (same order as streamets_serve).
-    if (experiment->storage.enabled) {
-      StorageConfig storage_config;
-      storage_config.mem_budget = experiment->storage.mem_budget;
-      storage_config.spill_dir = experiment->storage.spill_dir;
-      storage_config.granularity = experiment->storage.granularity;
-      storage_config.overload = experiment->run.overload;
-      DSMS_CHECK(graph->ConfigureStateStore(storage_config).ok());
-    }
-    recovery->RestoreGraph(graph, &clock);
-
-    ExecConfig config = ExecConfigForRun(experiment->run);
-    // Same policy as streamets_serve: `run shards=N` shards the engine, but
-    // a recovery-enabled server always runs the deterministic discipline —
-    // checkpoint blobs encode a deterministic schedule position.
-    config.shard_mode = ShardMode::kDeterministic;
-    if (config.shards > 1) {
-      executor = std::make_unique<ShardedExecutor>(graph, &clock, config);
-    } else {
-      executor = std::make_unique<DfsExecutor>(graph, &clock, config);
-    }
-    recovery->RestoreExecutor(executor.get());
-    DSMS_CHECK(recovery->AttachSinks(graph).ok());
-
-    IngestServerOptions options;
-    options.clock_mode = IngestClock::Mode::kFrameDriven;
-    options.horizon = experiment->run.horizon;
-    options.wall_limit = 60 * kSecond;  // hang guard
-    options.crash_at = crash_at;
-    server = std::make_unique<IngestServer>(graph, executor.get(), &clock,
-                                            options);
-    server->set_violation_policy(experiment->run.violations);
-    server->AttachRecovery(recovery.get());
-    if (!recovery->recovered_net_blob().empty()) {
-      DSMS_CHECK(server->RestoreNetState(recovery->recovered_net_blob()).ok());
-    }
+                  Timestamp crash_at = 0)
+      : LoopbackHarness(
+            text,
+            [&](IngestServerOptions* options) { options->crash_at = crash_at; },
+            dir) {
+    DSMS_CHECK(recovery != nullptr);
   }
-
-  void Serve() {
-    ASSERT_TRUE(server->Start().ok());
-    if (recovery->recovered()) {
-      ASSERT_TRUE(server->ReplayRecoveredWal().ok());
-    }
-    thread = std::thread([this] { run_status = server->Run(); });
-  }
-
-  Status Join() {
-    if (!thread.joinable()) return InternalError("server never started");
-    thread.join();
-    return run_status;
-  }
-
-  std::unique_ptr<Experiment> experiment;
-  QueryGraph* graph = nullptr;
-  VirtualClock clock;
-  std::unique_ptr<RecoveryManager> recovery;
-  std::unique_ptr<Executor> executor;
-  std::unique_ptr<IngestServer> server;
-  std::thread thread;
-  Status run_status;
 };
 
 // Mixed internal/external plan with a heartbeat and a lossy filter: enough
@@ -145,16 +63,9 @@ feed A process=poisson rate=50 seed=21
 feed B process=poisson rate=30 seed=22
 heartbeat B period=250ms
 run horizon=2s ets=on-demand
+wal dir=@WAL@ sync=every_frame
+checkpoint horizon=250ms
 )";
-
-std::vector<ScheduledFrame> BuildSchedule(const std::string& text) {
-  Result<Experiment> experiment = ParseExperiment(text);
-  DSMS_CHECK(experiment.ok());
-  Result<std::vector<ScheduledFrame>> schedule =
-      BuildFeedSchedule(*experiment, experiment->run.horizon);
-  DSMS_CHECK(schedule.ok());
-  return *std::move(schedule);
-}
 
 TEST(RecoveryLoopbackTest, KillMidRunRecoverResumeOutputIsByteIdentical) {
   const std::vector<ScheduledFrame> schedule = BuildSchedule(kPlan);
@@ -213,7 +124,7 @@ TEST(RecoveryLoopbackTest, KillMidRunRecoverResumeOutputIsByteIdentical) {
     ASSERT_TRUE(harness.recovery->recovered());
     // Read the restored clock before Serve(): once the run thread exists,
     // the executor advances the clock concurrently.
-    EXPECT_GT(harness.clock.now(), 0);
+    EXPECT_GT(harness.engine->clock().now(), 0);
     harness.Serve();
 
     FeedClientOptions copts;
@@ -256,6 +167,8 @@ feed B process=poisson rate=30 seed=22
 heartbeat B period=250ms
 batch size=7
 run horizon=2s ets=on-demand
+wal dir=@WAL@ sync=every_frame
+checkpoint horizon=250ms
 )";
 
 // The batch-mode variant of the kill-and-recover contract. A row run lives
@@ -343,8 +256,7 @@ TEST(RecoveryLoopbackTest, KillMidRunWithBatchingRecoversByteIdentical) {
 }
 
 // The sharded plan: identical to kPlan except the engine runs on 4 worker
-// shards (deterministic mode — forced by the harness exactly as
-// streamets_serve forces it). S1's chain and S2's chain land on shards by
+// shards (deterministic mode — the served engine always runs it). S1's chain and S2's chain land on shards by
 // stream-id hash; the union's second input crosses a shard boundary when
 // they differ.
 constexpr char kShardedPlan[] = R"(
@@ -357,6 +269,8 @@ feed A process=poisson rate=50 seed=21
 feed B process=poisson rate=30 seed=22
 heartbeat B period=250ms
 run horizon=2s ets=on-demand shards=4
+wal dir=@WAL@ sync=every_frame
+checkpoint horizon=250ms
 )";
 
 /// Kill-9 + recover at shards=4: the per-shard executor blobs (cursor,
@@ -374,7 +288,7 @@ TEST(RecoveryLoopbackTest, KillMidRunAtFourShardsRecoversByteIdentical) {
   {
     RecoveryHarness harness(kShardedPlan, ref_dir);
     ASSERT_EQ(harness.experiment->run.shards, 4);
-    ASSERT_NE(dynamic_cast<ShardedExecutor*>(harness.executor.get()),
+    ASSERT_NE(dynamic_cast<ShardedExecutor*>(harness.executor),
               nullptr);
     harness.Serve();
     FeedClientOptions copts;
@@ -469,6 +383,8 @@ feed A process=poisson rate=50 seed=21
 feed B process=poisson rate=30 seed=22
 heartbeat B period=250ms
 run horizon=2s ets=on-demand lease=1s violations=quarantine
+wal dir=@WAL@ sync=every_frame
+checkpoint horizon=250ms
 )";
 
 int32_t StreamId(const std::string& text, const std::string& name) {
@@ -565,18 +481,16 @@ TEST(RecoveryLoopbackTest, KillWhileQuarantinedRestoresQuarantineState) {
   {
     RecoveryHarness harness(kQuarantinePlan, dir);
     ASSERT_TRUE(harness.recovery->recovered());
-    // Start + WAL replay inline (instead of Serve()) so the tracker can
-    // be inspected single-threaded: checkpoint state plus the replayed
-    // tail, before the run thread exists and before any new frame.
-    ASSERT_TRUE(harness.server->Start().ok());
-    ASSERT_TRUE(harness.server->ReplayRecoveredWal().ok());
+    // Start (with its WAL replay) inline instead of Serve(), so the
+    // tracker can be inspected single-threaded: checkpoint state plus the
+    // replayed tail, before the run thread exists and before any new frame.
+    ASSERT_TRUE(harness.engine->Start().ok());
     const FrontierTracker* frontier = harness.executor->frontier();
     ASSERT_NE(frontier->participant(b_id), nullptr);
     EXPECT_EQ(frontier->participant(b_id)->health,
               SourceHealth::kQuarantined);
     EXPECT_GT(frontier->violations(), 0u);
-    harness.thread = std::thread(
-        [&harness] { harness.run_status = harness.server->Run(); });
+    harness.ServeStarted();
 
     FeedClientOptions copts;
     copts.port = harness.server->port();
@@ -708,6 +622,8 @@ feed L process=poisson rate=80 seed=31 payload=randint lo=0 hi=8
 feed R process=poisson rate=60 seed=32 payload=randint lo=0 hi=8
 run horizon=2s ets=on-demand
 state mem_budget=2k spill_dir=@SPILL@ granularity=250ms
+wal dir=@WAL@ sync=every_frame
+checkpoint horizon=250ms
 )";
 
 std::string SpillPlan(const std::string& spill_dir) {
