@@ -348,9 +348,7 @@ BENCHMARK(BM_StreamBufferPushAllDrain)->Arg(16)->Arg(256);
 /// workload: `chains` independent source->filter->sink queries share one
 /// executor, and each round one tuple arrives at one of them (round-robin).
 /// This is the scheduling shape the ready queue targets — work discovery
-/// should cost O(active operators), not O(graph size). range(1) selects the
-/// work-discovery strategy, so ready-queue scheduling (scan=0) can be
-/// compared against the retained full-scan reference (scan=1) on one build.
+/// should cost O(active operators), not O(graph size).
 void BM_DfsPipeline(benchmark::State& state) {
   const int num_chains = static_cast<int>(state.range(0));
   GraphBuilder builder;
@@ -370,8 +368,6 @@ void BM_DfsPipeline(benchmark::State& state) {
   VirtualClock clock;
   ExecConfig config;
   config.costs = CostModel{0, 0, 0, 0, 0};  // pure CPU measurement
-  config.scheduler = state.range(1) == 0 ? SchedulerMode::kReadyQueue
-                                         : SchedulerMode::kScanReference;
   DfsExecutor executor(graph->get(), &clock, config);
   Timestamp now = 0;
   size_t next_chain = 0;
@@ -383,12 +379,7 @@ void BM_DfsPipeline(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_DfsPipeline)
-    ->ArgNames({"chains", "scan"})
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({64, 0})
-    ->Args({64, 1});
+BENCHMARK(BM_DfsPipeline)->ArgName("chains")->Arg(4)->Arg(64);
 
 // --- Burst benchmarks ------------------------------------------------------
 // Each iteration stages a burst of tuples and then executes it. Only the

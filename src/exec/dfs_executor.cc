@@ -11,15 +11,9 @@ DfsExecutor::DfsExecutor(QueryGraph* graph, VirtualClock* clock,
 
 int DfsExecutor::FindWork() {
   ++stats_.work_scans;
-  if (!use_ready_queue()) {
-    for (const auto& op : graph_->operators()) {
-      if (op->HasWork()) return op->id();
-    }
-    return -1;
-  }
-  // Only operators with a non-empty input can have work (sources never do);
-  // probing candidates in id order selects the same operator the full scan
-  // would.
+  // Only operators with a non-empty input can have work (sources never do),
+  // so probing the candidates in id order selects the lowest-id operator
+  // with work.
   for (int id = ready_.NextCandidate(0); id >= 0;
        id = ready_.NextCandidate(id + 1)) {
     if (graph_->op(id)->HasWork()) return id;

@@ -46,8 +46,9 @@ class DfsExecutor : public Executor {
   }
 
  private:
-  /// Scans for an operator with processable input (a component whose source
-  /// buffers received tuples, or leftover work). Returns -1 if none.
+  /// The lowest-id operator with processable input (a component whose
+  /// source buffers received tuples, or leftover work), found among the
+  /// ready candidates. Returns -1 if none.
   int FindWork();
 
   int current_ = -1;

@@ -33,16 +33,14 @@ Executor::Executor(QueryGraph* graph, VirtualClock* clock, ExecConfig config)
     }
   }
   ets_gate_.set_frontier(&frontier_);
-  if (use_ready_queue()) {
-    ready_.Reset(graph->num_operators());
-    for (int b = 0; b < graph->num_buffers(); ++b) {
-      StreamBuffer* buffer = graph->buffer(b);
-      int consumer = graph->consumer_of(b);
-      buffer->set_ready_tracker(&ready_, consumer);
-      // Tests and drivers may ingest before the executor exists; fold the
-      // current occupancy in so pre-filled buffers count as ready.
-      if (!buffer->empty()) ready_.NoteFilled(consumer);
-    }
+  ready_.Reset(graph->num_operators());
+  for (int b = 0; b < graph->num_buffers(); ++b) {
+    StreamBuffer* buffer = graph->buffer(b);
+    int consumer = graph->consumer_of(b);
+    buffer->set_ready_tracker(&ready_, consumer);
+    // Tests and drivers may ingest before the executor exists; fold the
+    // current occupancy in so pre-filled buffers count as ready.
+    if (!buffer->empty()) ready_.NoteFilled(consumer);
   }
 }
 
@@ -52,12 +50,10 @@ Executor::~Executor() {
       if (source->frontier() == &frontier_) source->set_frontier(nullptr);
     }
   }
-  if (use_ready_queue()) {
-    for (int b = 0; b < graph_->num_buffers(); ++b) {
-      StreamBuffer* buffer = graph_->buffer(b);
-      if (buffer->ready_tracker() == &ready_) {
-        buffer->set_ready_tracker(nullptr, -1);
-      }
+  for (int b = 0; b < graph_->num_buffers(); ++b) {
+    StreamBuffer* buffer = graph_->buffer(b);
+    if (buffer->ready_tracker() == &ready_) {
+      buffer->set_ready_tracker(nullptr, -1);
     }
   }
 }

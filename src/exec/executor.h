@@ -38,17 +38,6 @@ struct CostModel {
   Duration ets_generation = 5;
 };
 
-/// How executors discover runnable operators.
-enum class SchedulerMode {
-  /// Incrementally maintained candidate set (ReadyTracker): buffers report
-  /// empty<->non-empty transitions and executors only probe operators with
-  /// at least one non-empty input. The default.
-  kReadyQueue = 0,
-  /// Full O(n) operator-table scans, byte-for-byte the original behavior.
-  /// Kept as the oracle for the trace-equivalence tests.
-  kScanReference = 1,
-};
-
 /// How the sharded executor schedules its shards (exec/sharded_executor.h).
 enum class ShardMode {
   /// All shards interleave cooperatively on one thread, handing control
@@ -72,7 +61,6 @@ struct ExecConfig {
   /// Source liveness: lease duration (0 = off) and lifecycle hysteresis of
   /// the frontier tracker (frontier/frontier_tracker.h).
   LeasePolicy lease;
-  SchedulerMode scheduler = SchedulerMode::kReadyQueue;
   /// Row budget of one step; 0 (the default) disables batch mode. When > 0,
   /// one step of a single-input row operator consumes a run of up to this
   /// many consecutive data tuples (Operator::StepRun; 0 runs one row per
@@ -107,10 +95,10 @@ struct ExecConfig {
 class Executor {
  public:
   /// `graph` must be validated and outlive the executor; `clock` is shared
-  /// with the simulation driver. In kReadyQueue mode the constructor wires
-  /// every graph buffer to this executor's ReadyTracker (and seeds it from
-  /// already-buffered tuples); the destructor detaches. At most one
-  /// ready-queue executor may be live per graph at a time.
+  /// with the simulation driver. The constructor wires every graph buffer to
+  /// this executor's ReadyTracker (and seeds it from already-buffered
+  /// tuples); the destructor detaches. At most one executor may be live per
+  /// graph at a time.
   Executor(QueryGraph* graph, VirtualClock* clock, ExecConfig config);
   virtual ~Executor();
 
@@ -210,10 +198,6 @@ class Executor {
   /// runnable by the fallback, or nullptr.
   Operator* TryLeaseExpiry();
 
-  bool use_ready_queue() const {
-    return config_.scheduler == SchedulerMode::kReadyQueue;
-  }
-
   QueryGraph* graph_;
   VirtualClock* clock_;
   ExecConfig config_;
@@ -227,7 +211,8 @@ class Executor {
   FrontierTracker frontier_;
   ClockContext ctx_;
   std::map<int, IdleWaitTracker> idle_trackers_;
-  /// Candidate set maintained by buffer notifications (kReadyQueue mode).
+  /// Candidate set maintained by buffer notifications: the only way any
+  /// executor finds runnable operators.
   ReadyTracker ready_;
 };
 

@@ -36,16 +36,14 @@ GreedyMemoryExecutor::GreedyMemoryExecutor(QueryGraph* graph,
       }
     }
   }
-  if (use_ready_queue()) {
-    versions_.assign(static_cast<size_t>(n), 0);
-    ready_.set_track_dirty(true);
-    // The base constructor seeded the candidate set before dirty tracking
-    // was on; mark everything dirty once so the first RunStep builds the
-    // heap from scratch.
-    for (int i = 0; i < n; ++i) ready_.MarkDirty(i);
-    for (int i = 0; i < n; ++i) {
-      if (graph->op(i)->is_iwp()) iwp_ids_.push_back(i);
-    }
+  versions_.assign(static_cast<size_t>(n), 0);
+  ready_.set_track_dirty(true);
+  // The base constructor seeded the candidate set before dirty tracking was
+  // on; mark everything dirty once so the first RunStep builds the heap from
+  // scratch.
+  for (int i = 0; i < n; ++i) ready_.MarkDirty(i);
+  for (int i = 0; i < n; ++i) {
+    if (graph->op(i)->is_iwp()) iwp_ids_.push_back(i);
   }
 }
 
@@ -99,9 +97,8 @@ void GreedyMemoryExecutor::StepAndAccount(Operator* op) {
 }
 
 bool GreedyMemoryExecutor::RunStep() {
-  if (!use_ready_queue()) return RunStepScan();
-  // Blocked IWP operators are never selected (no HasWork); the reference
-  // scan accounts for their idle-waiting on every activation.
+  // Blocked IWP operators are never selected (no HasWork); account for their
+  // idle-waiting on every activation.
   for (int id : iwp_ids_) {
     if (!ready_.IsCandidate(id)) continue;
     Operator* op = graph_->op(id);
@@ -122,42 +119,6 @@ bool GreedyMemoryExecutor::RunStep() {
     best = resumed;
   }
   StepAndAccount(best);
-  return true;
-}
-
-bool GreedyMemoryExecutor::RunStepScan() {
-  Operator* best = nullptr;
-  double best_priority = 0.0;
-  int best_depth = 0;
-  for (const auto& op : graph_->operators()) {
-    // Blocked IWP operators are never selected (no HasWork); account for
-    // their idle-waiting as we pass by.
-    if (op->is_iwp() && !op->HasWork() && op->HasPendingData()) {
-      SetIdleBlocked(op.get(), true);
-    }
-    if (!op->HasWork()) continue;
-    double priority = Priority(*op);
-    int depth = depth_to_sink_[static_cast<size_t>(op->id())];
-    if (best == nullptr || priority > best_priority ||
-        (priority == best_priority && depth < best_depth)) {
-      best = op.get();
-      best_priority = priority;
-      best_depth = depth;
-    }
-  }
-  ++stats_.work_scans;
-  if (best == nullptr) {
-    Operator* resumed = TryEtsSweep();
-    if (resumed == nullptr) resumed = TryLeaseExpiry();
-    if (resumed == nullptr) {
-      ++stats_.idle_returns;
-      return false;
-    }
-    best = resumed;
-  }
-  StepResult result = best->Step(ctx_);
-  ChargeStep(*best, result);
-  UpdateIdleTracker(best, result);
   return true;
 }
 

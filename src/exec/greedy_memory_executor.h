@@ -27,9 +27,9 @@ namespace dsms {
 /// marks an operator dirty whenever a buffer event or a step could have
 /// changed its runnability or priority; each RunStep re-pushes only dirty
 /// candidates (version-stamped) and pops until a fresh, runnable entry
-/// surfaces. This reproduces the reference full scan's argmax exactly —
-/// priorities only change when an operator steps, and every step marks the
-/// stepped operator dirty.
+/// surfaces. The surfaced entry is exactly the argmax over every runnable
+/// operator: priorities only change when an operator steps, and every step
+/// marks the stepped operator dirty.
 ///
 /// On-demand ETS composes exactly as with the other executors: when nothing
 /// is runnable, the pending backtrack of any ETS-wanting operator is
@@ -52,8 +52,8 @@ class GreedyMemoryExecutor : public Executor {
     uint64_t version;
   };
   /// "Worse-than" ordering for std::priority_queue: highest priority first,
-  /// then smallest depth-to-sink, then smallest id — the same total order
-  /// the reference scan's strictly-better update rule induces.
+  /// then smallest depth-to-sink, then smallest id. The order is total, so
+  /// ties in priority and depth go to the lowest id.
   struct WorseThan {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
       if (a.priority != b.priority) return a.priority < b.priority;
@@ -65,7 +65,6 @@ class GreedyMemoryExecutor : public Executor {
   /// Expected net buffered-tuple reduction of one step of `op`.
   double Priority(const Operator& op) const;
 
-  bool RunStepScan();
   void RefreshDirty();
   Operator* PopBest();
   void StepAndAccount(Operator* op);
@@ -74,7 +73,7 @@ class GreedyMemoryExecutor : public Executor {
   /// tie-breaker favoring drainage.
   std::vector<int> depth_to_sink_;
 
-  /// Lazy-heap state (kReadyQueue mode only).
+  /// Lazy-heap state.
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, WorseThan> heap_;
   std::vector<uint64_t> versions_;
   std::vector<int> iwp_ids_;

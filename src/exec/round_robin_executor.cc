@@ -43,12 +43,11 @@ bool RoundRobinExecutor::StepOperator(Operator* op) {
 }
 
 bool RoundRobinExecutor::RunStep() {
-  if (!use_ready_queue()) return RunStepScan();
-
   // Visit candidates in cyclic order starting at the cursor. Operators
   // without a non-empty input can neither be stepped nor be idle-waiting
-  // with pending data, so skipping them wholesale preserves the reference
-  // scan's behavior (selection, quantum resets, and idle accounting alike).
+  // with pending data, so skipping them wholesale is the same as moving the
+  // cursor over every operator in turn (selection, quantum resets, and idle
+  // accounting alike).
   int id = ready_.NextCandidate(cursor_);
   bool wrapped = false;
   while (true) {
@@ -62,8 +61,8 @@ bool RoundRobinExecutor::RunStep() {
     Operator* op = graph_->op(id);
     if (op->HasWork()) {
       if (id != cursor_) {
-        // The reference scan advanced the cursor to this operator one hop
-        // at a time, zeroing the quantum along the way.
+        // Passing over an operator zeroes the quantum, so the operator the
+        // cursor lands on starts a fresh one.
         cursor_ = id;
         used_in_quantum_ = 0;
       }
@@ -72,29 +71,9 @@ bool RoundRobinExecutor::RunStep() {
     MarkBlockedIwp(op);
     id = ready_.NextCandidate(id + 1);
   }
-  // Full cycle found nothing runnable; the reference scan ends with the
-  // cursor back where it started and the quantum reset.
+  // A full cycle found nothing runnable: the cursor is back where it started
+  // and the quantum is reset.
   used_in_quantum_ = 0;
-  ++stats_.work_scans;
-  Operator* resumed = TryEtsSweep();
-  if (resumed == nullptr) resumed = TryLeaseExpiry();
-  if (resumed != nullptr) {
-    cursor_ = resumed->id();
-    used_in_quantum_ = 0;
-    return true;
-  }
-  ++stats_.idle_returns;
-  return false;
-}
-
-bool RoundRobinExecutor::RunStepScan() {
-  int n = graph_->num_operators();
-  for (int scanned = 0; scanned < n; ++scanned) {
-    Operator* op = graph_->op(cursor_);
-    if (op->HasWork() && used_in_quantum_ < quantum_) return StepOperator(op);
-    MarkBlockedIwp(op);
-    AdvanceCursor();
-  }
   ++stats_.work_scans;
   Operator* resumed = TryEtsSweep();
   if (resumed == nullptr) resumed = TryLeaseExpiry();

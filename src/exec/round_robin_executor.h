@@ -40,8 +40,6 @@ class RoundRobinExecutor : public Executor {
   void AdvanceCursor();
   void MarkBlockedIwp(Operator* op);
   bool StepOperator(Operator* op);
-  /// Reference O(n) scan (SchedulerMode::kScanReference).
-  bool RunStepScan();
 
   int quantum_;
   int cursor_ = 0;

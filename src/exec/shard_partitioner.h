@@ -23,9 +23,7 @@ struct ShardPlan {
   /// Shard of each operator, indexed by operator id.
   std::vector<int> op_shard;
 
-  /// Operator ids per shard, ascending (scan order inside a shard matches
-  /// the global id order, which is what makes per-shard ready scans
-  /// equivalent to the single-shard scan).
+  /// Operator ids per shard, ascending (ToString prints them).
   std::vector<std::vector<int>> shard_ops;
 
   /// Buffer ids whose producer and consumer live on different shards.

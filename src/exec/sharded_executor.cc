@@ -41,20 +41,18 @@ ShardedExecutor::ShardedExecutor(QueryGraph* graph, VirtualClock* clock,
   // tracker of its consumer's shard. All input buffers of one operator land
   // on one tracker, so each shard tracker holds exactly the global candidate
   // set restricted to that shard.
-  if (use_ready_queue()) {
-    shard_trackers_.resize(static_cast<size_t>(plan_.num_shards));
-    for (auto& tracker : shard_trackers_) {
-      tracker.Reset(graph_->num_operators());
-    }
-    for (int b = 0; b < graph_->num_buffers(); ++b) {
-      StreamBuffer* buffer = graph_->buffer(b);
-      const int consumer = graph_->consumer_of(b);
-      if (consumer < 0) continue;
-      ReadyTracker* tracker =
-          &shard_trackers_[static_cast<size_t>(plan_.op_shard[consumer])];
-      buffer->set_ready_tracker(tracker, consumer);
-      if (!buffer->empty()) tracker->NoteFilled(consumer);
-    }
+  shard_trackers_.resize(static_cast<size_t>(plan_.num_shards));
+  for (auto& tracker : shard_trackers_) {
+    tracker.Reset(graph_->num_operators());
+  }
+  for (int b = 0; b < graph_->num_buffers(); ++b) {
+    StreamBuffer* buffer = graph_->buffer(b);
+    const int consumer = graph_->consumer_of(b);
+    if (consumer < 0) continue;
+    ReadyTracker* tracker =
+        &shard_trackers_[static_cast<size_t>(plan_.op_shard[consumer])];
+    buffer->set_ready_tracker(tracker, consumer);
+    if (!buffer->empty()) tracker->NoteFilled(consumer);
   }
 
   if (mode_ == ShardMode::kParallel) {
@@ -115,18 +113,12 @@ bool ShardedExecutor::RunStep() {
 
 int ShardedExecutor::FindWork() {
   ++stats_.work_scans;
-  if (!use_ready_queue()) {
-    for (const auto& op : graph_->operators()) {
-      if (op->HasWork()) return op->id();
-    }
-    return -1;
-  }
   // Min-frontier combine over the shard trackers: each shard yields its
   // smallest candidate id with actual work, and the overall minimum is the
-  // operator the single-shard id-order scan would have picked (the shard
-  // candidate sets partition the global candidate set). Probing HasWork()
-  // has no side effects, so the extra per-shard probes cannot perturb the
-  // schedule.
+  // lowest-id operator with work in the whole graph, the one DfsExecutor
+  // picks (the shard candidate sets partition the global candidate set).
+  // Probing HasWork() has no side effects, so the extra per-shard probes
+  // cannot perturb the schedule.
   int best = -1;
   for (const ReadyTracker& tracker : shard_trackers_) {
     for (int id = tracker.NextCandidate(0); id >= 0;
@@ -277,15 +269,9 @@ bool ShardedExecutor::ShardHasLocalWork(int shard) const {
       return true;
     }
   }
-  if (use_ready_queue()) {
-    const ReadyTracker& tracker = shard_trackers_[static_cast<size_t>(shard)];
-    for (int id = tracker.NextCandidate(0); id >= 0;
-         id = tracker.NextCandidate(id + 1)) {
-      if (graph_->op(id)->HasWork()) return true;
-    }
-    return false;
-  }
-  for (int id : plan_.shard_ops[static_cast<size_t>(shard)]) {
+  const ReadyTracker& tracker = shard_trackers_[static_cast<size_t>(shard)];
+  for (int id = tracker.NextCandidate(0); id >= 0;
+       id = tracker.NextCandidate(id + 1)) {
     if (graph_->op(id)->HasWork()) return true;
   }
   return false;
@@ -293,34 +279,20 @@ bool ShardedExecutor::ShardHasLocalWork(int shard) const {
 
 bool ShardedExecutor::StepOneCandidate(int shard) {
   ShardState& st = shard_state_[static_cast<size_t>(shard)];
-  if (use_ready_queue()) {
-    const ReadyTracker& tracker = shard_trackers_[static_cast<size_t>(shard)];
-    const int first = tracker.NextCandidateCyclic(st.cursor);
-    if (first < 0) return false;
-    int id = first;
-    while (true) {
-      Operator* op = graph_->op(id);
-      if (op->HasWork()) {
-        StepOperator(shard, op);
-        st.cursor = id + 1;
-        return true;
-      }
-      id = tracker.NextCandidateCyclic(id + 1);
-      if (id < 0 || id == first) return false;
-    }
-  }
-  const auto& ops = plan_.shard_ops[static_cast<size_t>(shard)];
-  const size_t n = ops.size();
-  for (size_t i = 0; i < n; ++i) {
-    const size_t pos = (static_cast<size_t>(st.cursor) + i) % n;
-    Operator* op = graph_->op(ops[pos]);
+  const ReadyTracker& tracker = shard_trackers_[static_cast<size_t>(shard)];
+  const int first = tracker.NextCandidateCyclic(st.cursor);
+  if (first < 0) return false;
+  int id = first;
+  while (true) {
+    Operator* op = graph_->op(id);
     if (op->HasWork()) {
       StepOperator(shard, op);
-      st.cursor = static_cast<int>((pos + 1) % n);
+      st.cursor = id + 1;
       return true;
     }
+    id = tracker.NextCandidateCyclic(id + 1);
+    if (id < 0 || id == first) return false;
   }
-  return false;
 }
 
 void ShardedExecutor::StepOperator(int shard, Operator* op) {

@@ -280,12 +280,11 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
     graph->SetBufferBound(config.buffer_capacity, config.overload);
   }
   if (!config.state_spill_dir.empty() || config.state_mem_budget > 0) {
-    StorageConfig storage_config;
-    storage_config.mem_budget = config.state_mem_budget;
-    storage_config.spill_dir = config.state_spill_dir;
-    storage_config.granularity = config.state_granularity;
-    storage_config.overload = config.overload;
-    DSMS_CHECK_OK(graph->ConfigureStateStore(storage_config));
+    const StorageSpec storage{/*enabled=*/true, config.state_mem_budget,
+                              config.state_spill_dir,
+                              config.state_granularity};
+    DSMS_CHECK_OK(graph->ConfigureStateStore(
+        StorageConfigForSpec(storage, config.overload)));
   }
 
   ExecConfig exec_config;
@@ -295,7 +294,6 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
                              : EtsMode::kNone;
   exec_config.ets.min_interval = config.ets_min_interval;
   exec_config.lease = config.lease;
-  exec_config.scheduler = config.scheduler;
   exec_config.batch_size = config.batch_size;
   exec_config.shards = config.shards;
   exec_config.shard_mode = config.shard_mode;

@@ -97,11 +97,6 @@ struct ScenarioConfig {
   Duration ets_min_interval = 0;
   int rr_quantum = 8;
 
-  /// Work discovery strategy (kReadyQueue is the optimized default;
-  /// kScanReference reproduces the original O(n) scans and serves as the
-  /// oracle for trace-equivalence tests).
-  SchedulerMode scheduler = SchedulerMode::kReadyQueue;
-
   /// Row budget of one step; 0 (the default) turns batch mode off. See
   /// ExecConfig::batch_size and docs/batching.md.
   size_t batch_size = 0;

@@ -1,17 +1,17 @@
 // The frozen scheduler oracle. Every executor finds runnable operators
-// through its ReadyTracker, and the choice must be the one a full scan of
-// the operator table makes: DFS visits candidates in id order, greedy-memory
-// breaks priority ties by id, and round-robin visits them in cyclic order
-// from its cursor. The golden rows below pin that choice at the strongest
-// level the simulator offers: an FNV-1a digest over EVERY buffer push and
-// pop of the whole run (arc id + full tuple contents, in order), the sink
-// digest, every ExecStats counter, delivery counts, latency figures, queue
-// peaks and idle-waiting metrics.
+// through its ReadyTracker, and the choice must be the one a full pass over
+// the operator table would make: DFS takes the lowest-id candidate with
+// work, greedy-memory breaks priority and depth ties by lowest id, and
+// round-robin visits candidates in cyclic order from its cursor. The golden
+// rows below pin that choice at the strongest level the simulator offers:
+// an FNV-1a digest over EVERY buffer push and pop of the whole run (arc id +
+// full tuple contents, in order), the sink digest, every ExecStats counter,
+// delivery counts, latency figures, queue peaks and idle-waiting metrics.
 //
 // The rows were captured at eb7fa9792afd7d12d71debe9922b83734ae5d23f, where
-// the ready queue and the original O(n) scan (SchedulerMode::kScanReference)
-// produced these values on every row. Always seed 42: DSMS_TEST_SEED must
-// not move a frozen value.
+// each executor still carried that O(n) full-table scan beside its ready
+// queue, and both produced these values on every row. Always seed 42:
+// DSMS_TEST_SEED must not move a frozen value.
 
 #include <cstdint>
 #include <string>
@@ -48,40 +48,34 @@ struct GoldenRow {
 
 void ExpectGolden(ScenarioConfig config, const GoldenRow& golden) {
   config.record_trace = true;
-  for (SchedulerMode scheduler :
-       {SchedulerMode::kScanReference, SchedulerMode::kReadyQueue}) {
-    config.scheduler = scheduler;
-    const ScenarioResult r = RunScenario(config);
-    const std::string label =
-        std::string(golden.name) +
-        (scheduler == SchedulerMode::kScanReference ? " scan" : " ready");
+  const ScenarioResult r = RunScenario(config);
+  const std::string label = golden.name;
 
-    // Byte-identical tuple movement, in order, across every arc.
-    EXPECT_EQ(r.trace_events, golden.trace_events) << label;
-    EXPECT_EQ(r.trace_hash, golden.trace_hash) << label;
-    EXPECT_EQ(r.sink_digest, golden.sink_digest) << label;
+  // Byte-identical tuple movement, in order, across every arc.
+  EXPECT_EQ(r.trace_events, golden.trace_events) << label;
+  EXPECT_EQ(r.trace_hash, golden.trace_hash) << label;
+  EXPECT_EQ(r.sink_digest, golden.sink_digest) << label;
 
-    // Identical executor accounting (steps by kind, backtracks, ETS, scans,
-    // batch counters).
-    EXPECT_TRUE(r.exec == golden.exec)
-        << label << "\n  got: " << r.exec.ToString()
-        << "\n want: " << golden.exec.ToString();
+  // Identical executor accounting (steps by kind, backtracks, ETS, scans,
+  // batch counters).
+  EXPECT_TRUE(r.exec == golden.exec)
+      << label << "\n  got: " << r.exec.ToString()
+      << "\n want: " << golden.exec.ToString();
 
-    // Identical headline metrics.
-    EXPECT_EQ(r.tuples_delivered, golden.tuples_delivered) << label;
-    EXPECT_DOUBLE_EQ(r.mean_latency_ms, golden.mean_latency_ms) << label;
-    EXPECT_DOUBLE_EQ(r.max_latency_ms, golden.max_latency_ms) << label;
-    EXPECT_EQ(r.peak_queue_total, golden.peak_queue_total) << label;
-    EXPECT_EQ(r.peak_queue_data, golden.peak_queue_data) << label;
-    EXPECT_DOUBLE_EQ(r.idle_fraction, golden.idle_fraction) << label;
-    EXPECT_EQ(r.blocked_intervals, golden.blocked_intervals) << label;
-    EXPECT_EQ(r.ets_generated, golden.ets_generated) << label;
-    EXPECT_EQ(r.punctuation_eliminated, golden.punctuation_eliminated)
-        << label;
-    EXPECT_EQ(r.order_violations, golden.order_violations) << label;
-    EXPECT_EQ(r.buffer_order_violations, golden.buffer_order_violations)
-        << label;
-  }
+  // Identical headline metrics.
+  EXPECT_EQ(r.tuples_delivered, golden.tuples_delivered) << label;
+  EXPECT_DOUBLE_EQ(r.mean_latency_ms, golden.mean_latency_ms) << label;
+  EXPECT_DOUBLE_EQ(r.max_latency_ms, golden.max_latency_ms) << label;
+  EXPECT_EQ(r.peak_queue_total, golden.peak_queue_total) << label;
+  EXPECT_EQ(r.peak_queue_data, golden.peak_queue_data) << label;
+  EXPECT_DOUBLE_EQ(r.idle_fraction, golden.idle_fraction) << label;
+  EXPECT_EQ(r.blocked_intervals, golden.blocked_intervals) << label;
+  EXPECT_EQ(r.ets_generated, golden.ets_generated) << label;
+  EXPECT_EQ(r.punctuation_eliminated, golden.punctuation_eliminated)
+      << label;
+  EXPECT_EQ(r.order_violations, golden.order_violations) << label;
+  EXPECT_EQ(r.buffer_order_violations, golden.buffer_order_violations)
+      << label;
 }
 
 ScenarioConfig ShortConfig(ScenarioKind kind) {
