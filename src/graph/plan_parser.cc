@@ -1,5 +1,6 @@
 #include "graph/plan_parser.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -52,48 +53,123 @@ Status ParseDuration(std::string_view text, Duration* out) {
   return OkStatus();
 }
 
-namespace {
-
-struct Statement {
-  int line = 0;
-  std::string type;
-  std::string name;
-  std::vector<std::string> inputs;
-  std::map<std::string, std::string> args;
-};
+const StatementSyntax* FindStatementSyntax(
+    std::span<const StatementSyntax> table, std::string_view line) {
+  const std::string_view type = line.substr(0, line.find(' '));
+  for (const StatementSyntax& syntax : table) {
+    if (syntax.type == type) return &syntax;
+  }
+  return nullptr;
+}
 
 Status ParseStatement(int line_number, std::string_view line,
-                      Statement* statement) {
+                      const StatementSyntax& syntax, Statement* out) {
   std::vector<std::string> tokens;
   for (const std::string& piece : StrSplit(line, ' ')) {
     std::string_view token = StripWhitespace(piece);
     if (!token.empty()) tokens.emplace_back(token);
   }
-  if (tokens.size() < 2) {
+  const size_t arg_start = syntax.has_name ? 2 : 1;
+  if (tokens.size() < arg_start) {
     return InvalidArgumentError(
-        StrFormat("line %d: expected 'TYPE NAME key=value ...'", line_number));
+        StrFormat("line %d: expected '%s NAME key=value ...'", line_number,
+                  std::string(syntax.type).c_str()));
   }
-  statement->line = line_number;
-  statement->type = tokens[0];
-  statement->name = tokens[1];
-  for (size_t i = 2; i < tokens.size(); ++i) {
+  out->line = line_number;
+  out->type = tokens[0];
+  if (syntax.has_name) out->name = tokens[1];
+  for (size_t i = arg_start; i < tokens.size(); ++i) {
     size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 > tokens[i].size()) {
+    if (eq == std::string::npos || eq == 0) {
       return InvalidArgumentError(StrFormat(
           "line %d: malformed argument '%s'", line_number, tokens[i].c_str()));
     }
     std::string key = tokens[i].substr(0, eq);
-    std::string value = tokens[i].substr(eq + 1);
-    if (key == "in") {
-      for (const std::string& input : StrSplit(value, ',')) {
-        if (!input.empty()) statement->inputs.push_back(input);
-      }
-    } else {
-      statement->args[key] = value;
+    if (std::find(syntax.keys.begin(), syntax.keys.end(), key) ==
+        syntax.keys.end()) {
+      return InvalidArgumentError(
+          StrFormat("line %d: unknown %s key '%s'", line_number,
+                    tokens[0].c_str(), key.c_str()));
     }
+    out->args[key] = tokens[i].substr(eq + 1);
   }
   return OkStatus();
 }
+
+Status Statement::GetDuration(const std::string& key, Duration default_value,
+                              bool required, Duration* out) const {
+  auto it = args.find(key);
+  if (it == args.end()) {
+    if (required) {
+      return InvalidArgumentError(
+          StrFormat("line %d: missing %s=", line, key.c_str()));
+    }
+    *out = default_value;
+    return OkStatus();
+  }
+  Status status = ParseDuration(it->second, out);
+  if (!status.ok()) {
+    return InvalidArgumentError(
+        StrFormat("line %d: %s", line, status.message().c_str()));
+  }
+  return OkStatus();
+}
+
+Status Statement::GetDouble(const std::string& key, double default_value,
+                            bool required, double* out) const {
+  auto it = args.find(key);
+  if (it == args.end()) {
+    if (required) {
+      return InvalidArgumentError(
+          StrFormat("line %d: missing %s=", line, key.c_str()));
+    }
+    *out = default_value;
+    return OkStatus();
+  }
+  if (!ParseDouble(it->second, out)) {
+    return InvalidArgumentError(
+        StrFormat("line %d: bad number for %s", line, key.c_str()));
+  }
+  return OkStatus();
+}
+
+Status Statement::GetInt(const std::string& key, int64_t default_value,
+                         bool required, int64_t* out) const {
+  auto it = args.find(key);
+  if (it == args.end()) {
+    if (required) {
+      return InvalidArgumentError(
+          StrFormat("line %d: missing %s=", line, key.c_str()));
+    }
+    *out = default_value;
+    return OkStatus();
+  }
+  if (!ParseInt64(it->second, out)) {
+    return InvalidArgumentError(
+        StrFormat("line %d: bad integer for %s", line, key.c_str()));
+  }
+  return OkStatus();
+}
+
+namespace {
+
+/// Every plan statement names its operator; `in=` lists its producers.
+const StatementSyntax kPlanSyntax[] = {
+    {"stream", true, {"ts", "skew", "granularity", "schema"}},
+    {"filter", true, {"in", "selectivity", "seed", "field", "op", "value"}},
+    {"project", true, {"in", "fields"}},
+    {"union", true, {"in"}},
+    {"join",
+     true,
+     {"in", "window", "left_window", "right_window", "left_field",
+      "right_field"}},
+    {"mjoin", true, {"in", "window", "key"}},
+    {"aggregate", true, {"in", "fn", "field", "window", "slide"}},
+    {"gaggregate", true, {"in", "fn", "key", "field", "window", "slide"}},
+    {"reorder", true, {"in", "slack"}},
+    {"copy", true, {"in"}},
+    {"sink", true, {"in"}},
+};
 
 class PlanAssembler {
  public:
@@ -106,79 +182,17 @@ class PlanAssembler {
   Status UpstreamLatent(const Statement& s,
                         const std::vector<Operator*>& inputs, bool* latent);
 
-  Status GetDuration(const Statement& s, const std::string& key,
-                     Duration default_value, bool required, Duration* out);
-  Status GetDouble(const Statement& s, const std::string& key,
-                   double default_value, bool required, double* out);
-  Status GetInt(const Statement& s, const std::string& key,
-                int64_t default_value, bool required, int64_t* out);
-
   GraphBuilder builder_;
   std::map<std::string, Operator*> by_name_;
   std::map<std::string, bool> latent_;  // name -> all-latent lineage
 };
 
-Status PlanAssembler::GetDuration(const Statement& s, const std::string& key,
-                                  Duration default_value, bool required,
-                                  Duration* out) {
-  auto it = s.args.find(key);
-  if (it == s.args.end()) {
-    if (required) {
-      return InvalidArgumentError(
-          StrFormat("line %d: missing %s=", s.line, key.c_str()));
-    }
-    *out = default_value;
-    return OkStatus();
-  }
-  Status status = ParseDuration(it->second, out);
-  if (!status.ok()) {
-    return InvalidArgumentError(
-        StrFormat("line %d: %s", s.line, status.message().c_str()));
-  }
-  return OkStatus();
-}
-
-Status PlanAssembler::GetDouble(const Statement& s, const std::string& key,
-                                double default_value, bool required,
-                                double* out) {
-  auto it = s.args.find(key);
-  if (it == s.args.end()) {
-    if (required) {
-      return InvalidArgumentError(
-          StrFormat("line %d: missing %s=", s.line, key.c_str()));
-    }
-    *out = default_value;
-    return OkStatus();
-  }
-  if (!ParseDouble(it->second, out)) {
-    return InvalidArgumentError(StrFormat("line %d: bad number for %s",
-                                          s.line, key.c_str()));
-  }
-  return OkStatus();
-}
-
-Status PlanAssembler::GetInt(const Statement& s, const std::string& key,
-                             int64_t default_value, bool required,
-                             int64_t* out) {
-  auto it = s.args.find(key);
-  if (it == s.args.end()) {
-    if (required) {
-      return InvalidArgumentError(
-          StrFormat("line %d: missing %s=", s.line, key.c_str()));
-    }
-    *out = default_value;
-    return OkStatus();
-  }
-  if (!ParseInt64(it->second, out)) {
-    return InvalidArgumentError(StrFormat("line %d: bad integer for %s",
-                                          s.line, key.c_str()));
-  }
-  return OkStatus();
-}
-
 Status PlanAssembler::ResolveInputs(const Statement& s,
                                     std::vector<Operator*>* inputs) {
-  for (const std::string& name : s.inputs) {
+  auto in = s.args.find("in");
+  if (in == s.args.end()) return OkStatus();
+  for (const std::string& name : StrSplit(in->second, ',')) {
+    if (name.empty()) continue;
     auto it = by_name_.find(name);
     if (it == by_name_.end()) {
       return InvalidArgumentError(StrFormat(
@@ -196,14 +210,13 @@ Status PlanAssembler::UpstreamLatent(const Statement& s,
                                      bool* latent) {
   bool any_latent = false;
   bool any_timestamped = false;
-  for (const std::string& name : s.inputs) {
-    if (latent_[name]) {
+  for (const Operator* input : inputs) {
+    if (latent_[input->name()]) {
       any_latent = true;
     } else {
       any_timestamped = true;
     }
   }
-  (void)inputs;
   if (any_latent && any_timestamped) {
     return InvalidArgumentError(StrFormat(
         "line %d: operator %s mixes latent and timestamped inputs", s.line,
@@ -226,10 +239,6 @@ Status PlanAssembler::AddStatement(const Statement& s) {
   bool latent = false;
 
   if (s.type == "stream") {
-    if (!inputs.empty()) {
-      return InvalidArgumentError(
-          StrFormat("line %d: stream takes no in=", s.line));
-    }
     TimestampKind kind = TimestampKind::kInternal;
     auto it = s.args.find("ts");
     if (it != s.args.end()) {
@@ -246,7 +255,7 @@ Status PlanAssembler::AddStatement(const Statement& s) {
       }
     }
     Duration skew = 0;
-    DSMS_RETURN_IF_ERROR(GetDuration(s, "skew", 0, false, &skew));
+    DSMS_RETURN_IF_ERROR(s.GetDuration("skew", 0, false, &skew));
     if (skew < 0) {
       return InvalidArgumentError(
           StrFormat("line %d: skew must be >= 0", s.line));
@@ -257,7 +266,7 @@ Status PlanAssembler::AddStatement(const Statement& s) {
     // DSMS_CHECK abort the setter keeps for real API misuse.
     Duration granularity = 1;
     DSMS_RETURN_IF_ERROR(
-        GetDuration(s, "granularity", 1, false, &granularity));
+        s.GetDuration("granularity", 1, false, &granularity));
     if (granularity < 1) {
       return InvalidArgumentError(StrFormat(
           "line %d: granularity must be >= 1 microsecond (got %lld)",
@@ -308,20 +317,20 @@ Status PlanAssembler::AddStatement(const Statement& s) {
     if (s.args.count("selectivity") > 0) {
       double selectivity = 0.0;
       DSMS_RETURN_IF_ERROR(
-          GetDouble(s, "selectivity", 0.0, true, &selectivity));
+          s.GetDouble("selectivity", 0.0, true, &selectivity));
       if (selectivity < 0.0 || selectivity > 1.0) {
         return InvalidArgumentError(
             StrFormat("line %d: selectivity out of [0,1]", s.line));
       }
       int64_t seed = 1;
-      DSMS_RETURN_IF_ERROR(GetInt(s, "seed", 1, false, &seed));
+      DSMS_RETURN_IF_ERROR(s.GetInt("seed", 1, false, &seed));
       op = builder_.AddRandomDropFilter(s.name, selectivity,
                                         static_cast<uint64_t>(seed));
     } else {
       int64_t field = 0;
       double value = 0.0;
-      DSMS_RETURN_IF_ERROR(GetInt(s, "field", 0, true, &field));
-      DSMS_RETURN_IF_ERROR(GetDouble(s, "value", 0.0, true, &value));
+      DSMS_RETURN_IF_ERROR(s.GetInt("field", 0, true, &field));
+      DSMS_RETURN_IF_ERROR(s.GetDouble("value", 0.0, true, &value));
       auto it = s.args.find("op");
       if (it == s.args.end()) {
         return InvalidArgumentError(
@@ -400,21 +409,21 @@ Status PlanAssembler::AddStatement(const Statement& s) {
     DSMS_RETURN_IF_ERROR(UpstreamLatent(s, inputs, &latent));
     Duration window = 0;
     DSMS_RETURN_IF_ERROR(
-        GetDuration(s, "window", kSecond, false, &window));
+        s.GetDuration("window", kSecond, false, &window));
     Duration left_window = 0;
     Duration right_window = 0;
     DSMS_RETURN_IF_ERROR(
-        GetDuration(s, "left_window", window, false, &left_window));
+        s.GetDuration("left_window", window, false, &left_window));
     DSMS_RETURN_IF_ERROR(
-        GetDuration(s, "right_window", window, false, &right_window));
+        s.GetDuration("right_window", window, false, &right_window));
     WindowJoin::Predicate predicate;  // null = cross product
     int equi_left = -1;
     int equi_right = -1;
     if (s.args.count("left_field") > 0 || s.args.count("right_field") > 0) {
       int64_t left_field = 0;
       int64_t right_field = 0;
-      DSMS_RETURN_IF_ERROR(GetInt(s, "left_field", 0, true, &left_field));
-      DSMS_RETURN_IF_ERROR(GetInt(s, "right_field", 0, true, &right_field));
+      DSMS_RETURN_IF_ERROR(s.GetInt("left_field", 0, true, &left_field));
+      DSMS_RETURN_IF_ERROR(s.GetInt("right_field", 0, true, &right_field));
       equi_left = static_cast<int>(left_field);
       equi_right = static_cast<int>(right_field);
       predicate = WindowJoin::EquiJoin(equi_left, equi_right);
@@ -432,13 +441,13 @@ Status PlanAssembler::AddStatement(const Statement& s) {
     }
     DSMS_RETURN_IF_ERROR(UpstreamLatent(s, inputs, &latent));
     Duration window = 0;
-    DSMS_RETURN_IF_ERROR(GetDuration(s, "window", 0, true, &window));
+    DSMS_RETURN_IF_ERROR(s.GetDuration("window", 0, true, &window));
     std::vector<Duration> windows(inputs.size(), window);
     MultiWayJoin::Predicate predicate;  // null = cross product
     int equi_field = -1;
     if (s.args.count("key") > 0) {
       int64_t key = 0;
-      DSMS_RETURN_IF_ERROR(GetInt(s, "key", 0, true, &key));
+      DSMS_RETURN_IF_ERROR(s.GetInt("key", 0, true, &key));
       equi_field = static_cast<int>(key);
       predicate = MultiWayJoin::EquiJoin(equi_field);
     }
@@ -474,13 +483,13 @@ Status PlanAssembler::AddStatement(const Statement& s) {
           StrFormat("line %d: bad fn= '%s'", s.line, it->second.c_str()));
     }
     int64_t key = 0;
-    DSMS_RETURN_IF_ERROR(GetInt(s, "key", 0, true, &key));
+    DSMS_RETURN_IF_ERROR(s.GetInt("key", 0, true, &key));
     int64_t field = 0;
-    DSMS_RETURN_IF_ERROR(GetInt(s, "field", 0, false, &field));
+    DSMS_RETURN_IF_ERROR(s.GetInt("field", 0, false, &field));
     Duration window = 0;
-    DSMS_RETURN_IF_ERROR(GetDuration(s, "window", 0, true, &window));
+    DSMS_RETURN_IF_ERROR(s.GetDuration("window", 0, true, &window));
     Duration slide = 0;
-    DSMS_RETURN_IF_ERROR(GetDuration(s, "slide", window, false, &slide));
+    DSMS_RETURN_IF_ERROR(s.GetDuration("slide", window, false, &slide));
     op = builder_.AddGroupedWindowAggregate(
         s.name, kind, static_cast<int>(key), static_cast<int>(field), window,
         slide);
@@ -511,11 +520,11 @@ Status PlanAssembler::AddStatement(const Statement& s) {
           StrFormat("line %d: bad fn= '%s'", s.line, it->second.c_str()));
     }
     int64_t field = 0;
-    DSMS_RETURN_IF_ERROR(GetInt(s, "field", 0, false, &field));
+    DSMS_RETURN_IF_ERROR(s.GetInt("field", 0, false, &field));
     Duration window = 0;
-    DSMS_RETURN_IF_ERROR(GetDuration(s, "window", 0, true, &window));
+    DSMS_RETURN_IF_ERROR(s.GetDuration("window", 0, true, &window));
     Duration slide = 0;
-    DSMS_RETURN_IF_ERROR(GetDuration(s, "slide", window, false, &slide));
+    DSMS_RETURN_IF_ERROR(s.GetDuration("slide", window, false, &slide));
     op = builder_.AddWindowAggregate(s.name, kind, static_cast<int>(field),
                                      window, slide);
     latent = false;  // Aggregates stamp on the fly.
@@ -526,7 +535,7 @@ Status PlanAssembler::AddStatement(const Statement& s) {
     }
     DSMS_RETURN_IF_ERROR(UpstreamLatent(s, inputs, &latent));
     Duration slack = 0;
-    DSMS_RETURN_IF_ERROR(GetDuration(s, "slack", 0, true, &slack));
+    DSMS_RETURN_IF_ERROR(s.GetDuration("slack", 0, true, &slack));
     op = builder_.AddReorder(s.name, slack);
   } else if (s.type == "copy") {
     if (inputs.size() != 1) {
@@ -543,8 +552,8 @@ Status PlanAssembler::AddStatement(const Statement& s) {
     DSMS_RETURN_IF_ERROR(UpstreamLatent(s, inputs, &latent));
     op = builder_.AddSink(s.name);
   } else {
-    return InvalidArgumentError(StrFormat(
-        "line %d: unknown statement type '%s'", s.line, s.type.c_str()));
+    return InternalError(StrFormat("line %d: no assembler for '%s'", s.line,
+                                   s.type.c_str()));
   }
 
   for (Operator* input : inputs) builder_.Connect(input, op);
@@ -579,9 +588,15 @@ Result<ParsedPlan> ParsePlan(std::string_view text) {
     if (comment != std::string_view::npos) line = line.substr(0, comment);
     line = StripWhitespace(line);
     if (line.empty()) continue;
+    const StatementSyntax* syntax = FindStatementSyntax(kPlanSyntax, line);
+    if (syntax == nullptr) {
+      return InvalidArgumentError(StrFormat(
+          "line %d: unknown statement type '%s'", line_number,
+          std::string(line.substr(0, line.find(' '))).c_str()));
+    }
     Statement statement;
-    Status status = ParseStatement(line_number, line, &statement);
-    if (!status.ok()) return status;
+    DSMS_RETURN_IF_ERROR(
+        ParseStatement(line_number, line, *syntax, &statement));
     statements.push_back(std::move(statement));
   }
   if (statements.empty()) {

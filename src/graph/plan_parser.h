@@ -2,9 +2,12 @@
 #define DSMS_GRAPH_PLAN_PARSER_H_
 
 #include <map>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "common/time.h"
@@ -54,12 +57,56 @@ struct ParsedPlan {
 /// Durations: integer with unit suffix us|ms|s|m (bare integers are
 /// microseconds), e.g. `window=2s`, `slack=50ms`.
 ///
-/// Returns the validated plan or the first parse/validation error with its
-/// line number.
+/// Each statement accepts only the keys listed for it; any other key fails
+/// with `line N: unknown TYPE key 'KEY'`. Returns the validated plan or the
+/// first parse/validation error with its line number.
 Result<ParsedPlan> ParsePlan(std::string_view text);
 
 /// Parses "2s" / "150ms" / "50us" / "42" (microseconds) / "1m".
 Status ParseDuration(std::string_view text, Duration* out);
+
+/// The syntax of one statement type of the plan or experiment language: its
+/// keyword, whether a NAME token follows it, the keys it accepts, and
+/// whether it may appear at most once in a document. A misspelled or
+/// retired key fails the parse rather than silently leaving its knob at the
+/// default (a dropped `lease=` disarms liveness; a dropped join `window=`
+/// runs a 1 s window).
+struct StatementSyntax {
+  std::string_view type;
+  bool has_name;
+  std::vector<std::string_view> keys;
+  bool unique = false;
+};
+
+/// The entry of `table` whose keyword is the first word of `line` (stripped
+/// of comment and surrounding whitespace), or nullptr.
+const StatementSyntax* FindStatementSyntax(
+    std::span<const StatementSyntax> table, std::string_view line);
+
+/// One tokenized statement: `TYPE [NAME] key=value ...`.
+struct Statement {
+  int line = 0;
+  std::string type;
+  std::string name;
+  std::map<std::string, std::string> args;
+
+  /// Typed reads of argument `key`. An absent key yields `default_value`,
+  /// or `line N: missing KEY=` when `required`; a value that does not parse
+  /// fails with the line number.
+  Status GetDuration(const std::string& key, Duration default_value,
+                     bool required, Duration* out) const;
+  Status GetDouble(const std::string& key, double default_value,
+                   bool required, double* out) const;
+  Status GetInt(const std::string& key, int64_t default_value, bool required,
+                int64_t* out) const;
+};
+
+/// Tokenizes `line` (stripped of comment and surrounding whitespace) as a
+/// statement of `syntax`. Fails with `line N: malformed argument 'TOKEN'`
+/// for a token that is not `key=value`, and with `line N: unknown TYPE key
+/// 'KEY'` for a key outside `syntax.keys`.
+Status ParseStatement(int line_number, std::string_view line,
+                      const StatementSyntax& syntax, Statement* out);
 
 }  // namespace dsms
 

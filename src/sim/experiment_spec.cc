@@ -30,142 +30,40 @@
 namespace dsms {
 namespace {
 
-/// A tokenized experiment statement: `type key=value ...` with an optional
-/// leading name token (feed/heartbeat have one; run does not).
-struct ExpStatement {
-  int line = 0;
-  std::string type;
-  std::string name;
-  std::map<std::string, std::string> args;
-};
-
-/// The syntax of one experiment statement: its keyword, whether a stream
-/// name follows it, whether it may appear at most once, and the keys it
-/// accepts. A misspelled or retired key fails the parse rather than
-/// silently leaving its knob at the default (a dropped `lease=` disarms
-/// liveness; a dropped feed `seed=` runs seed 1).
-struct StatementSyntax {
-  std::string_view type;
-  bool has_name;
-  bool unique;
-  std::vector<std::string_view> keys;
-};
-
+/// Experiment statements; every other line belongs to the plan.
 const StatementSyntax kStatementSyntax[] = {
-    {"feed", true, false,
+    {"feed",
+     true,
      {"process", "rate", "burst_rate", "idle_rate", "burst_len", "idle_len",
       "trace", "seed", "payload", "lo", "hi", "fields"}},
-    {"heartbeat", true, false, {"period", "phase"}},
-    {"fault", true, false,
+    {"heartbeat", true, {"period", "phase"}},
+    {"fault",
+     true,
      {"kind", "start", "duration", "factor", "prob", "magnitude", "period",
       "seed"}},
-    {"run", false, true,
+    {"run",
+     false,
      {"horizon", "warmup", "ets_min_interval", "ets", "executor", "quantum",
-      "lease", "buffer_cap", "overload", "shards", "mode", "violations"}},
-    {"batch", false, true, {"size"}},
-    {"trace", false, true, {"path", "capacity"}},
-    {"wal", false, true,
-     {"dir", "sync", "sync_interval_bytes", "segment_bytes"}},
-    {"checkpoint", false, true, {"horizon", "keep"}},
-    {"crash", false, true, {"at"}},
-    {"state", false, true, {"mem_budget", "spill_dir", "granularity"}},
-    {"netfault", false, false,
+      "lease", "buffer_cap", "overload", "shards", "mode", "violations"},
+     /*unique=*/true},
+    {"batch", false, {"size"}, /*unique=*/true},
+    {"trace", false, {"path", "capacity"}, /*unique=*/true},
+    {"wal",
+     false,
+     {"dir", "sync", "sync_interval_bytes", "segment_bytes"},
+     /*unique=*/true},
+    {"checkpoint", false, {"horizon", "keep"}, /*unique=*/true},
+    {"crash", false, {"at"}, /*unique=*/true},
+    {"state",
+     false,
+     {"mem_budget", "spill_dir", "granularity"},
+     /*unique=*/true},
+    {"netfault",
+     false,
      {"kind", "at", "seed", "count", "chunk", "gap", "bytes", "stale"}},
 };
 
-/// The syntax whose keyword starts `line`, or nullptr for a plan line.
-const StatementSyntax* FindStatementSyntax(std::string_view line) {
-  for (const StatementSyntax& syntax : kStatementSyntax) {
-    if (StartsWith(line, syntax.type) &&
-        (line.size() == syntax.type.size() ||
-         line[syntax.type.size()] == ' ')) {
-      return &syntax;
-    }
-  }
-  return nullptr;
-}
-
-Status ParseExpStatement(int line_number, std::string_view line,
-                         const StatementSyntax& syntax, ExpStatement* out) {
-  std::vector<std::string> tokens;
-  for (const std::string& piece : StrSplit(line, ' ')) {
-    std::string_view token = StripWhitespace(piece);
-    if (!token.empty()) tokens.emplace_back(token);
-  }
-  size_t arg_start = syntax.has_name ? 2 : 1;
-  if (tokens.size() < arg_start) {
-    return InvalidArgumentError(
-        StrFormat("line %d: malformed statement", line_number));
-  }
-  out->line = line_number;
-  out->type = tokens[0];
-  if (syntax.has_name) out->name = tokens[1];
-  for (size_t i = arg_start; i < tokens.size(); ++i) {
-    size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos || eq == 0) {
-      return InvalidArgumentError(StrFormat(
-          "line %d: malformed argument '%s'", line_number, tokens[i].c_str()));
-    }
-    std::string key = tokens[i].substr(0, eq);
-    if (std::find(syntax.keys.begin(), syntax.keys.end(), key) ==
-        syntax.keys.end()) {
-      return InvalidArgumentError(
-          StrFormat("line %d: unknown %s key '%s'", line_number,
-                    tokens[0].c_str(), key.c_str()));
-    }
-    out->args[key] = tokens[i].substr(eq + 1);
-  }
-  return OkStatus();
-}
-
-Status GetArgDouble(const ExpStatement& s, const std::string& key,
-                    double default_value, bool required, double* out) {
-  auto it = s.args.find(key);
-  if (it == s.args.end()) {
-    if (required) {
-      return InvalidArgumentError(
-          StrFormat("line %d: missing %s=", s.line, key.c_str()));
-    }
-    *out = default_value;
-    return OkStatus();
-  }
-  if (!ParseDouble(it->second, out)) {
-    return InvalidArgumentError(
-        StrFormat("line %d: bad number for %s", s.line, key.c_str()));
-  }
-  return OkStatus();
-}
-
-Status GetArgInt(const ExpStatement& s, const std::string& key,
-                 int64_t default_value, int64_t* out) {
-  auto it = s.args.find(key);
-  if (it == s.args.end()) {
-    *out = default_value;
-    return OkStatus();
-  }
-  if (!ParseInt64(it->second, out)) {
-    return InvalidArgumentError(
-        StrFormat("line %d: bad integer for %s", s.line, key.c_str()));
-  }
-  return OkStatus();
-}
-
-Status GetArgDuration(const ExpStatement& s, const std::string& key,
-                      Duration default_value, Duration* out) {
-  auto it = s.args.find(key);
-  if (it == s.args.end()) {
-    *out = default_value;
-    return OkStatus();
-  }
-  Status status = ParseDuration(it->second, out);
-  if (!status.ok()) {
-    return InvalidArgumentError(
-        StrFormat("line %d: %s", s.line, status.message().c_str()));
-  }
-  return OkStatus();
-}
-
-Status ParseFeed(const ExpStatement& s, FeedSpec* feed) {
+Status ParseFeed(const Statement& s, FeedSpec* feed) {
   feed->source = s.name;
   if (s.args.count("trace") > 0) {
     feed->kind = FeedSpec::Kind::kTrace;
@@ -175,37 +73,36 @@ Status ParseFeed(const ExpStatement& s, FeedSpec* feed) {
     std::string process = it == s.args.end() ? "poisson" : it->second;
     if (process == "poisson") {
       feed->kind = FeedSpec::Kind::kPoisson;
-      DSMS_RETURN_IF_ERROR(GetArgDouble(s, "rate", 0, true, &feed->rate));
+      DSMS_RETURN_IF_ERROR(s.GetDouble("rate", 0, true, &feed->rate));
     } else if (process == "constant") {
       feed->kind = FeedSpec::Kind::kConstant;
-      DSMS_RETURN_IF_ERROR(GetArgDouble(s, "rate", 0, true, &feed->rate));
+      DSMS_RETURN_IF_ERROR(s.GetDouble("rate", 0, true, &feed->rate));
     } else if (process == "bursty") {
       feed->kind = FeedSpec::Kind::kBursty;
       DSMS_RETURN_IF_ERROR(
-          GetArgDouble(s, "burst_rate", 100, false, &feed->burst_rate));
+          s.GetDouble("burst_rate", 100, false, &feed->burst_rate));
       DSMS_RETURN_IF_ERROR(
-          GetArgDouble(s, "idle_rate", 1, false, &feed->idle_rate));
-      DSMS_RETURN_IF_ERROR(GetArgDuration(s, "burst_len",
-                                          200 * kMillisecond,
-                                          &feed->burst_length));
+          s.GetDouble("idle_rate", 1, false, &feed->idle_rate));
+      DSMS_RETURN_IF_ERROR(s.GetDuration("burst_len", 200 * kMillisecond,
+                                         false, &feed->burst_length));
       DSMS_RETURN_IF_ERROR(
-          GetArgDuration(s, "idle_len", 5 * kSecond, &feed->idle_length));
+          s.GetDuration("idle_len", 5 * kSecond, false, &feed->idle_length));
     } else {
       return InvalidArgumentError(StrFormat(
           "line %d: unknown process '%s'", s.line, process.c_str()));
     }
   }
   int64_t seed = 1;
-  DSMS_RETURN_IF_ERROR(GetArgInt(s, "seed", 1, &seed));
+  DSMS_RETURN_IF_ERROR(s.GetInt("seed", 1, false, &seed));
   feed->seed = static_cast<uint64_t>(seed);
 
   auto payload = s.args.find("payload");
   if (payload != s.args.end() && payload->second == "randint") {
     feed->payload = FeedSpec::Payload::kRandInt;
-    DSMS_RETURN_IF_ERROR(GetArgInt(s, "lo", 0, &feed->randint_lo));
-    DSMS_RETURN_IF_ERROR(GetArgInt(s, "hi", 100, &feed->randint_hi));
+    DSMS_RETURN_IF_ERROR(s.GetInt("lo", 0, false, &feed->randint_lo));
+    DSMS_RETURN_IF_ERROR(s.GetInt("hi", 100, false, &feed->randint_hi));
     int64_t fields = 1;
-    DSMS_RETURN_IF_ERROR(GetArgInt(s, "fields", 1, &fields));
+    DSMS_RETURN_IF_ERROR(s.GetInt("fields", 1, false, &fields));
     feed->payload_fields = static_cast<int>(fields);
     if (feed->randint_lo > feed->randint_hi || feed->payload_fields < 1) {
       return InvalidArgumentError(
@@ -218,7 +115,7 @@ Status ParseFeed(const ExpStatement& s, FeedSpec* feed) {
   return OkStatus();
 }
 
-Status ParseFault(const ExpStatement& s, FaultTargetSpec* fault) {
+Status ParseFault(const Statement& s, FaultTargetSpec* fault) {
   fault->source = s.name;
   auto kind = s.args.find("kind");
   if (kind == s.args.end()) {
@@ -231,38 +128,38 @@ Status ParseFault(const ExpStatement& s, FaultTargetSpec* fault) {
   }
   fault->spec.kind = *parsed;
   DSMS_RETURN_IF_ERROR(
-      GetArgDuration(s, "start", fault->spec.start, &fault->spec.start));
-  DSMS_RETURN_IF_ERROR(GetArgDuration(s, "duration", fault->spec.duration,
-                                      &fault->spec.duration));
+      s.GetDuration("start", fault->spec.start, false, &fault->spec.start));
+  DSMS_RETURN_IF_ERROR(s.GetDuration("duration", fault->spec.duration, false,
+                                     &fault->spec.duration));
   int64_t factor = fault->spec.burst_factor;
-  DSMS_RETURN_IF_ERROR(GetArgInt(s, "factor", factor, &factor));
+  DSMS_RETURN_IF_ERROR(s.GetInt("factor", factor, false, &factor));
   if (factor < 1) {
     return InvalidArgumentError(
         StrFormat("line %d: factor must be >= 1", s.line));
   }
   fault->spec.burst_factor = static_cast<int>(factor);
-  DSMS_RETURN_IF_ERROR(GetArgDouble(s, "prob", fault->spec.probability,
-                                    false, &fault->spec.probability));
-  DSMS_RETURN_IF_ERROR(GetArgDuration(s, "magnitude", fault->spec.magnitude,
-                                      &fault->spec.magnitude));
-  DSMS_RETURN_IF_ERROR(GetArgDuration(s, "period", fault->spec.punct_period,
-                                      &fault->spec.punct_period));
+  DSMS_RETURN_IF_ERROR(s.GetDouble("prob", fault->spec.probability,
+                                   false, &fault->spec.probability));
+  DSMS_RETURN_IF_ERROR(s.GetDuration("magnitude", fault->spec.magnitude,
+                                     false, &fault->spec.magnitude));
+  DSMS_RETURN_IF_ERROR(s.GetDuration("period", fault->spec.punct_period,
+                                     false, &fault->spec.punct_period));
   if (fault->spec.punct_period <= 0) {
     return InvalidArgumentError(
         StrFormat("line %d: period must be positive", s.line));
   }
   int64_t seed = static_cast<int64_t>(fault->spec.seed);
-  DSMS_RETURN_IF_ERROR(GetArgInt(s, "seed", seed, &seed));
+  DSMS_RETURN_IF_ERROR(s.GetInt("seed", seed, false, &seed));
   fault->spec.seed = static_cast<uint64_t>(seed);
   return OkStatus();
 }
 
-Status ParseRun(const ExpStatement& s, RunSpec* run) {
+Status ParseRun(const Statement& s, RunSpec* run) {
   DSMS_RETURN_IF_ERROR(
-      GetArgDuration(s, "horizon", 600 * kSecond, &run->horizon));
-  DSMS_RETURN_IF_ERROR(GetArgDuration(s, "warmup", 0, &run->warmup));
-  DSMS_RETURN_IF_ERROR(GetArgDuration(s, "ets_min_interval", 0,
-                                      &run->ets_min_interval));
+      s.GetDuration("horizon", 600 * kSecond, false, &run->horizon));
+  DSMS_RETURN_IF_ERROR(s.GetDuration("warmup", 0, false, &run->warmup));
+  DSMS_RETURN_IF_ERROR(
+      s.GetDuration("ets_min_interval", 0, false, &run->ets_min_interval));
   auto ets = s.args.find("ets");
   if (ets != s.args.end()) {
     if (ets->second == "on-demand") {
@@ -288,19 +185,19 @@ Status ParseRun(const ExpStatement& s, RunSpec* run) {
     }
   }
   int64_t quantum = 8;
-  DSMS_RETURN_IF_ERROR(GetArgInt(s, "quantum", 8, &quantum));
+  DSMS_RETURN_IF_ERROR(s.GetInt("quantum", 8, false, &quantum));
   if (quantum < 1) {
     return InvalidArgumentError(StrFormat("line %d: quantum must be >= 1",
                                           s.line));
   }
   run->quantum = static_cast<int>(quantum);
-  DSMS_RETURN_IF_ERROR(GetArgDuration(s, "lease", 0, &run->lease));
+  DSMS_RETURN_IF_ERROR(s.GetDuration("lease", 0, false, &run->lease));
   if (run->lease < 0) {
     return InvalidArgumentError(
         StrFormat("line %d: lease must be >= 0", s.line));
   }
   int64_t buffer_cap = 0;
-  DSMS_RETURN_IF_ERROR(GetArgInt(s, "buffer_cap", 0, &buffer_cap));
+  DSMS_RETURN_IF_ERROR(s.GetInt("buffer_cap", 0, false, &buffer_cap));
   if (buffer_cap < 0) {
     return InvalidArgumentError(
         StrFormat("line %d: buffer_cap must be >= 0", s.line));
@@ -321,7 +218,7 @@ Status ParseRun(const ExpStatement& s, RunSpec* run) {
     }
   }
   int64_t shards = 1;
-  DSMS_RETURN_IF_ERROR(GetArgInt(s, "shards", 1, &shards));
+  DSMS_RETURN_IF_ERROR(s.GetInt("shards", 1, false, &shards));
   if (shards < 1) {
     return InvalidArgumentError(
         StrFormat("line %d: shards must be >= 1", s.line));
@@ -362,9 +259,9 @@ Status ParseRun(const ExpStatement& s, RunSpec* run) {
   return OkStatus();
 }
 
-Status ParseBatch(const ExpStatement& s, RunSpec* run) {
+Status ParseBatch(const Statement& s, RunSpec* run) {
   int64_t size = 0;
-  DSMS_RETURN_IF_ERROR(GetArgInt(s, "size", 0, &size));
+  DSMS_RETURN_IF_ERROR(s.GetInt("size", 0, false, &size));
   if (size < 1) {
     return InvalidArgumentError(
         StrFormat("line %d: missing or non-positive size=", s.line));
@@ -373,14 +270,14 @@ Status ParseBatch(const ExpStatement& s, RunSpec* run) {
   return OkStatus();
 }
 
-Status ParseTrace(const ExpStatement& s, TraceSpec* trace) {
+Status ParseTrace(const Statement& s, TraceSpec* trace) {
   auto path = s.args.find("path");
   if (path == s.args.end() || path->second.empty()) {
     return InvalidArgumentError(StrFormat("line %d: missing path=", s.line));
   }
   trace->path = path->second;
   int64_t capacity = static_cast<int64_t>(trace->capacity);
-  DSMS_RETURN_IF_ERROR(GetArgInt(s, "capacity", capacity, &capacity));
+  DSMS_RETURN_IF_ERROR(s.GetInt("capacity", capacity, false, &capacity));
   if (capacity < 1) {
     return InvalidArgumentError(
         StrFormat("line %d: capacity must be >= 1", s.line));
@@ -389,7 +286,7 @@ Status ParseTrace(const ExpStatement& s, TraceSpec* trace) {
   return OkStatus();
 }
 
-Status ParseWal(const ExpStatement& s, RecoverySpec* recovery) {
+Status ParseWal(const Statement& s, RecoverySpec* recovery) {
   recovery->wal = true;
   auto dir = s.args.find("dir");
   if (dir == s.args.end() || dir->second.empty()) {
@@ -413,14 +310,14 @@ Status ParseWal(const ExpStatement& s, RecoverySpec* recovery) {
   int64_t sync_interval =
       static_cast<int64_t>(recovery->sync_interval_bytes);
   DSMS_RETURN_IF_ERROR(
-      GetArgInt(s, "sync_interval_bytes", sync_interval, &sync_interval));
+      s.GetInt("sync_interval_bytes", sync_interval, false, &sync_interval));
   if (sync_interval < 1) {
     return InvalidArgumentError(
         StrFormat("line %d: sync_interval_bytes must be >= 1", s.line));
   }
   recovery->sync_interval_bytes = static_cast<uint64_t>(sync_interval);
   int64_t segment = static_cast<int64_t>(recovery->segment_bytes);
-  DSMS_RETURN_IF_ERROR(GetArgInt(s, "segment_bytes", segment, &segment));
+  DSMS_RETURN_IF_ERROR(s.GetInt("segment_bytes", segment, false, &segment));
   if (segment < 1) {
     return InvalidArgumentError(
         StrFormat("line %d: segment_bytes must be >= 1", s.line));
@@ -429,16 +326,16 @@ Status ParseWal(const ExpStatement& s, RecoverySpec* recovery) {
   return OkStatus();
 }
 
-Status ParseCheckpoint(const ExpStatement& s, RecoverySpec* recovery) {
+Status ParseCheckpoint(const Statement& s, RecoverySpec* recovery) {
   recovery->checkpoint = true;
   DSMS_RETURN_IF_ERROR(
-      GetArgDuration(s, "horizon", 0, &recovery->checkpoint_horizon));
+      s.GetDuration("horizon", 0, false, &recovery->checkpoint_horizon));
   if (recovery->checkpoint_horizon <= 0) {
     return InvalidArgumentError(
         StrFormat("line %d: missing or non-positive horizon=", s.line));
   }
   int64_t keep = recovery->keep;
-  DSMS_RETURN_IF_ERROR(GetArgInt(s, "keep", keep, &keep));
+  DSMS_RETURN_IF_ERROR(s.GetInt("keep", keep, false, &keep));
   if (keep < 1) {
     return InvalidArgumentError(
         StrFormat("line %d: keep must be >= 1", s.line));
@@ -468,7 +365,7 @@ bool ParseByteSize(const std::string& text, uint64_t* out) {
   return true;
 }
 
-Status ParseState(const ExpStatement& s, StorageSpec* storage) {
+Status ParseState(const Statement& s, StorageSpec* storage) {
   storage->enabled = true;
   auto budget = s.args.find("mem_budget");
   if (budget == s.args.end() ||
@@ -485,7 +382,7 @@ Status ParseState(const ExpStatement& s, StorageSpec* storage) {
   }
   storage->spill_dir = dir->second;
   DSMS_RETURN_IF_ERROR(
-      GetArgDuration(s, "granularity", kSecond, &storage->granularity));
+      s.GetDuration("granularity", kSecond, false, &storage->granularity));
   if (storage->granularity <= 0) {
     return InvalidArgumentError(
         StrFormat("line %d: granularity must be positive", s.line));
@@ -493,9 +390,9 @@ Status ParseState(const ExpStatement& s, StorageSpec* storage) {
   return OkStatus();
 }
 
-Status ParseCrash(const ExpStatement& s, RecoverySpec* recovery) {
+Status ParseCrash(const Statement& s, RecoverySpec* recovery) {
   Duration at = 0;
-  DSMS_RETURN_IF_ERROR(GetArgDuration(s, "at", 0, &at));
+  DSMS_RETURN_IF_ERROR(s.GetDuration("at", 0, false, &at));
   if (at <= 0) {
     return InvalidArgumentError(
         StrFormat("line %d: missing or non-positive at=", s.line));
@@ -504,7 +401,7 @@ Status ParseCrash(const ExpStatement& s, RecoverySpec* recovery) {
   return OkStatus();
 }
 
-Status ParseNetFault(const ExpStatement& s, NetFaultSpec* fault) {
+Status ParseNetFault(const Statement& s, NetFaultSpec* fault) {
   auto kind = s.args.find("kind");
   if (kind == s.args.end()) {
     return InvalidArgumentError(
@@ -519,43 +416,43 @@ Status ParseNetFault(const ExpStatement& s, NetFaultSpec* fault) {
   }
   fault->kind = *parsed;
   Duration at = 0;
-  DSMS_RETURN_IF_ERROR(GetArgDuration(s, "at", 0, &at));
+  DSMS_RETURN_IF_ERROR(s.GetDuration("at", 0, false, &at));
   if (at < 0) {
     return InvalidArgumentError(
         StrFormat("line %d: at must be non-negative", s.line));
   }
   fault->at = at;
   int64_t seed = static_cast<int64_t>(fault->seed);
-  DSMS_RETURN_IF_ERROR(GetArgInt(s, "seed", seed, &seed));
+  DSMS_RETURN_IF_ERROR(s.GetInt("seed", seed, false, &seed));
   fault->seed = static_cast<uint64_t>(seed);
   int64_t count = fault->count;
-  DSMS_RETURN_IF_ERROR(GetArgInt(s, "count", count, &count));
+  DSMS_RETURN_IF_ERROR(s.GetInt("count", count, false, &count));
   if (count < 1) {
     return InvalidArgumentError(
         StrFormat("line %d: count must be >= 1", s.line));
   }
   fault->count = static_cast<int>(count);
   int64_t chunk = static_cast<int64_t>(fault->chunk);
-  DSMS_RETURN_IF_ERROR(GetArgInt(s, "chunk", chunk, &chunk));
+  DSMS_RETURN_IF_ERROR(s.GetInt("chunk", chunk, false, &chunk));
   if (chunk < 0) {
     return InvalidArgumentError(
         StrFormat("line %d: chunk must be non-negative", s.line));
   }
   fault->chunk = static_cast<size_t>(chunk);
-  DSMS_RETURN_IF_ERROR(GetArgDuration(s, "gap", fault->gap, &fault->gap));
+  DSMS_RETURN_IF_ERROR(s.GetDuration("gap", fault->gap, false, &fault->gap));
   if (fault->gap < 0) {
     return InvalidArgumentError(
         StrFormat("line %d: gap must be non-negative", s.line));
   }
   int64_t bytes = static_cast<int64_t>(fault->bytes);
-  DSMS_RETURN_IF_ERROR(GetArgInt(s, "bytes", bytes, &bytes));
+  DSMS_RETURN_IF_ERROR(s.GetInt("bytes", bytes, false, &bytes));
   if (bytes < 1) {
     return InvalidArgumentError(
         StrFormat("line %d: bytes must be >= 1", s.line));
   }
   fault->bytes = static_cast<size_t>(bytes);
   int64_t stale = fault->stale;
-  DSMS_RETURN_IF_ERROR(GetArgInt(s, "stale", stale, &stale));
+  DSMS_RETURN_IF_ERROR(s.GetInt("stale", stale, false, &stale));
   if (stale < 0) {
     return InvalidArgumentError(
         StrFormat("line %d: stale must be non-negative", s.line));
@@ -621,7 +518,7 @@ Result<Experiment> ParseExperiment(std::string_view text) {
 Result<Experiment> ParseExperiment(std::string_view text,
                                    bool require_feeds) {
   std::vector<std::string> plan_lines;
-  std::map<std::string_view, std::vector<ExpStatement>> statements;
+  std::map<std::string_view, std::vector<Statement>> statements;
 
   int line_number = 0;
   for (const std::string& raw_line : StrSplit(text, '\n')) {
@@ -631,18 +528,19 @@ Result<Experiment> ParseExperiment(std::string_view text,
     if (comment != std::string_view::npos) line = line.substr(0, comment);
     std::string_view stripped = StripWhitespace(line);
     if (stripped.empty()) continue;
-    const StatementSyntax* syntax = FindStatementSyntax(stripped);
+    const StatementSyntax* syntax =
+        FindStatementSyntax(kStatementSyntax, stripped);
     if (syntax == nullptr) {
       plan_lines.push_back(raw_line);
       continue;
     }
-    ExpStatement statement;
+    Statement statement;
     DSMS_RETURN_IF_ERROR(
-        ParseExpStatement(line_number, stripped, *syntax, &statement));
+        ParseStatement(line_number, stripped, *syntax, &statement));
     statements[syntax->type].push_back(std::move(statement));
   }
   for (const StatementSyntax& syntax : kStatementSyntax) {
-    const std::vector<ExpStatement>& found = statements[syntax.type];
+    const std::vector<Statement>& found = statements[syntax.type];
     if (syntax.unique && found.size() > 1) {
       return InvalidArgumentError(
           StrFormat("line %d: duplicate %s statement", found[1].line,
@@ -650,8 +548,8 @@ Result<Experiment> ParseExperiment(std::string_view text,
     }
   }
   // The statement of a unique type, or nullptr when the text has none.
-  auto only = [&statements](std::string_view type) -> const ExpStatement* {
-    const std::vector<ExpStatement>& found = statements[type];
+  auto only = [&statements](std::string_view type) -> const Statement* {
+    const std::vector<Statement>& found = statements[type];
     return found.empty() ? nullptr : &found.front();
   };
 
@@ -661,7 +559,7 @@ Result<Experiment> ParseExperiment(std::string_view text,
   Experiment experiment;
   experiment.plan = std::move(*plan);
 
-  auto check_stream = [&experiment](const ExpStatement& s) -> Status {
+  auto check_stream = [&experiment](const Statement& s) -> Status {
     Operator* op = experiment.plan.Find(s.name);
     if (op == nullptr || dynamic_cast<Source*>(op) == nullptr) {
       return InvalidArgumentError(StrFormat(
@@ -670,58 +568,58 @@ Result<Experiment> ParseExperiment(std::string_view text,
     return OkStatus();
   };
 
-  for (const ExpStatement& s : statements["feed"]) {
+  for (const Statement& s : statements["feed"]) {
     DSMS_RETURN_IF_ERROR(check_stream(s));
     FeedSpec feed;
     DSMS_RETURN_IF_ERROR(ParseFeed(s, &feed));
     experiment.feeds.push_back(std::move(feed));
   }
-  for (const ExpStatement& s : statements["heartbeat"]) {
+  for (const Statement& s : statements["heartbeat"]) {
     DSMS_RETURN_IF_ERROR(check_stream(s));
     HeartbeatSpec heartbeat;
     heartbeat.source = s.name;
     DSMS_RETURN_IF_ERROR(
-        GetArgDuration(s, "period", kSecond, &heartbeat.period));
+        s.GetDuration("period", kSecond, false, &heartbeat.period));
     if (heartbeat.period <= 0) {
       return InvalidArgumentError(
           StrFormat("line %d: period must be positive", s.line));
     }
-    DSMS_RETURN_IF_ERROR(GetArgDuration(s, "phase", 0, &heartbeat.phase));
+    DSMS_RETURN_IF_ERROR(s.GetDuration("phase", 0, false, &heartbeat.phase));
     experiment.heartbeats.push_back(heartbeat);
   }
-  for (const ExpStatement& s : statements["fault"]) {
+  for (const Statement& s : statements["fault"]) {
     DSMS_RETURN_IF_ERROR(check_stream(s));
     FaultTargetSpec fault;
     fault.source = s.name;
     DSMS_RETURN_IF_ERROR(ParseFault(s, &fault));
     experiment.faults.push_back(std::move(fault));
   }
-  if (const ExpStatement* s = only("run")) {
+  if (const Statement* s = only("run")) {
     DSMS_RETURN_IF_ERROR(ParseRun(*s, &experiment.run));
   }
-  if (const ExpStatement* s = only("batch")) {
+  if (const Statement* s = only("batch")) {
     DSMS_RETURN_IF_ERROR(ParseBatch(*s, &experiment.run));
   }
-  if (const ExpStatement* s = only("trace")) {
+  if (const Statement* s = only("trace")) {
     DSMS_RETURN_IF_ERROR(ParseTrace(*s, &experiment.trace));
   }
-  if (const ExpStatement* s = only("wal")) {
+  if (const Statement* s = only("wal")) {
     DSMS_RETURN_IF_ERROR(ParseWal(*s, &experiment.recovery));
   }
-  if (const ExpStatement* s = only("checkpoint")) {
+  if (const Statement* s = only("checkpoint")) {
     DSMS_RETURN_IF_ERROR(ParseCheckpoint(*s, &experiment.recovery));
     if (!experiment.recovery.wal) {
       return InvalidArgumentError(StrFormat(
           "line %d: checkpoint requires a wal statement", s->line));
     }
   }
-  if (const ExpStatement* s = only("crash")) {
+  if (const Statement* s = only("crash")) {
     DSMS_RETURN_IF_ERROR(ParseCrash(*s, &experiment.recovery));
   }
-  if (const ExpStatement* s = only("state")) {
+  if (const Statement* s = only("state")) {
     DSMS_RETURN_IF_ERROR(ParseState(*s, &experiment.storage));
   }
-  for (const ExpStatement& s : statements["netfault"]) {
+  for (const Statement& s : statements["netfault"]) {
     NetFaultSpec fault;
     DSMS_RETURN_IF_ERROR(ParseNetFault(s, &fault));
     experiment.netfaults.push_back(fault);

@@ -183,6 +183,55 @@ TEST(PlanParserTest, ErrorMalformedArgument) {
   EXPECT_NE(plan.status().message().find("malformed"), std::string::npos);
 }
 
+TEST(PlanParserTest, ErrorUnknownKeyInEveryStatement) {
+  // A misspelled key fails the parse in every statement type, instead of
+  // silently leaving its knob at the default (`windw=2s` would run a 1 s
+  // join window). The key sits on line 3; each plan is otherwise valid.
+  struct Case {
+    const char* statement;
+    const char* rest;
+    const char* type;
+    const char* key;
+  };
+  const Case kCases[] = {
+      {"stream C ts=internal skw=1s", "union U in=A,B,C\nsink O in=U",
+       "stream", "skw"},
+      {"filter X in=A selectivity=0.5 sed=3", "union U in=X,B\nsink O in=U",
+       "filter", "sed"},
+      {"project X in=A fields=0 feilds=1", "union U in=X,B\nsink O in=U",
+       "project", "feilds"},
+      {"union X in=A,B ordered=1", "sink O in=X", "union", "ordered"},
+      {"join X in=A,B windw=2s", "sink O in=X", "join", "windw"},
+      {"mjoin X in=A,B window=1s keys=0", "sink O in=X", "mjoin", "keys"},
+      {"aggregate X in=A fn=count window=1s slid=1s",
+       "union U in=X,B\nsink O in=U", "aggregate", "slid"},
+      {"gaggregate X in=A fn=count key=0 window=1s feld=0",
+       "union U in=X,B\nsink O in=U", "gaggregate", "feld"},
+      {"reorder X in=A slack=1s slak=2s", "union U in=X,B\nsink O in=U",
+       "reorder", "slak"},
+      {"copy X in=A fanout=2", "union U in=X,B\nsink O in=U", "copy",
+       "fanout"},
+      {"sink X in=A sort=1", "sink O in=B", "sink", "sort"},
+  };
+  for (const Case& c : kCases) {
+    const std::string text = std::string("stream A\nstream B\n") +
+                             c.statement + "\n" + c.rest + "\n";
+    auto plan = ParsePlan(text);
+    EXPECT_FALSE(plan.ok()) << c.statement;
+    if (plan.ok()) continue;
+    EXPECT_EQ(plan.status().message(),
+              std::string("line 3: unknown ") + c.type + " key '" + c.key +
+                  "'");
+    // Without the misspelled key the plan parses.
+    std::string fixed = c.statement;
+    fixed = fixed.substr(0, fixed.rfind(' '));
+    EXPECT_TRUE(ParsePlan(std::string("stream A\nstream B\n") + fixed +
+                          "\n" + c.rest + "\n")
+                    .ok())
+        << fixed;
+  }
+}
+
 TEST(PlanParserTest, ErrorEmptyPlan) {
   EXPECT_FALSE(ParsePlan("  \n# just a comment\n").ok());
 }
