@@ -4,12 +4,12 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <string.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <utility>
 
+#include "common/files.h"
 #include "common/strings.h"
 #include "recovery/crc32.h"
 #include "recovery/state_codec.h"
@@ -131,10 +131,7 @@ bool DeserializeImage(const std::string& body, CheckpointImage* image) {
 
 Status WriteCheckpointFile(const std::string& dir,
                            const CheckpointImage& image, int keep) {
-  if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
-    return InternalError(
-        StrFormat("mkdir %s: %s", dir.c_str(), strerror(errno)));
-  }
+  DSMS_RETURN_IF_ERROR(EnsureDir(dir));
   const std::string body = SerializeImage(image);
   std::string bytes(kCkptMagic, sizeof(kCkptMagic));
   StateWriter header;

@@ -3,11 +3,11 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <string.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <utility>
 
+#include "common/files.h"
 #include "common/strings.h"
 
 namespace dsms {
@@ -28,10 +28,7 @@ std::string DurableSink::path() const {
 
 Status DurableSink::Open(uint64_t resume_offset) {
   if (fd_ >= 0) return FailedPreconditionError("sink file already open");
-  if (::mkdir(dir_.c_str(), 0777) != 0 && errno != EEXIST) {
-    return InternalError(
-        StrFormat("mkdir %s: %s", dir_.c_str(), strerror(errno)));
-  }
+  DSMS_RETURN_IF_ERROR(EnsureDir(dir_));
   const std::string p = path();
   fd_ = ::open(p.c_str(), O_WRONLY | O_CREAT, 0666);
   if (fd_ < 0) {

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/files.h"
 #include "common/strings.h"
 #include "recovery/crc32.h"
 #include "recovery/state_codec.h"
@@ -61,12 +62,6 @@ Status ListSegments(const std::string& dir,
   ::closedir(d);
   std::sort(out->begin(), out->end());
   return OkStatus();
-}
-
-Status EnsureDir(const std::string& dir) {
-  if (::mkdir(dir.c_str(), 0777) == 0 || errno == EEXIST) return OkStatus();
-  return InternalError(
-      StrFormat("mkdir %s: %s", dir.c_str(), strerror(errno)));
 }
 
 Status ReadWholeFile(const std::string& path, std::string* out) {

@@ -1,6 +1,5 @@
 #include "sim/experiment_spec.h"
 
-#include <algorithm>
 #include <fstream>
 #include <map>
 #include <memory>

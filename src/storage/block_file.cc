@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/files.h"
 #include "common/strings.h"
 #include "recovery/crc32.h"
 #include "recovery/state_codec.h"
@@ -250,10 +251,7 @@ bool ParseBlockFileName(const std::string& name, uint64_t* block_id) {
 }
 
 Status WriteBlockFile(const std::string& dir, const BlockFileContents& block) {
-  if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
-    return InternalError(
-        StrFormat("mkdir %s: %s", dir.c_str(), strerror(errno)));
-  }
+  DSMS_RETURN_IF_ERROR(EnsureDir(dir));
   // Slice order: keyed rows grouped by key hash (ties by ordinal, so each
   // slice keeps insertion order), then the key-less rows.
   const uint32_t nrows = static_cast<uint32_t>(block.rows.size());

@@ -1,14 +1,12 @@
 #include "storage/state_store.h"
 
-#include <errno.h>
-#include <string.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <utility>
 
 #include "common/check.h"
+#include "common/files.h"
 #include "common/strings.h"
 #include "obs/metrics_registry.h"
 #include "obs/tracer.h"
@@ -332,11 +330,7 @@ StateStore::StateStore(StorageConfig config)
 
 Status StateStore::Init() {
   if (config_.spill_dir.empty()) return OkStatus();
-  if (::mkdir(config_.spill_dir.c_str(), 0777) != 0 && errno != EEXIST) {
-    return InternalError(StrFormat("mkdir %s: %s", config_.spill_dir.c_str(),
-                                   strerror(errno)));
-  }
-  return OkStatus();
+  return EnsureDir(config_.spill_dir);
 }
 
 void StateStore::Register(StateTable* table) {

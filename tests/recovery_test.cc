@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/files.h"
 #include "common/random.h"
 #include "common/time.h"
 #include "core/tuple.h"
@@ -31,6 +33,7 @@
 #include "recovery/recovery_manager.h"
 #include "recovery/wal.h"
 #include "sim/experiment_spec.h"
+#include "sim/scenario.h"
 #include "test_seed.h"
 
 namespace dsms {
@@ -519,6 +522,54 @@ TEST(RecoveryPlanTest, MalformedStatementsAreRejected) {
     SCOPED_TRACE(text);
     EXPECT_FALSE(ParseExperiment(text, /*require_feeds=*/false).ok());
   }
+}
+
+// --- Directory creation ---
+
+TEST(EnsureDirTest, CreatesMissingParentsAndAcceptsExistingDirectories) {
+  const std::string root = ::testing::TempDir() + "/dsms_ensure_dir";
+  std::filesystem::remove_all(root);
+  ASSERT_TRUE(EnsureDir(root + "/a/b/c").ok());
+  EXPECT_TRUE(std::filesystem::is_directory(root + "/a/b/c"));
+  // An existing directory, with or without a trailing slash, is not an
+  // error and is left as it is.
+  WriteFile(root + "/a/b/c/keep", "x");
+  EXPECT_TRUE(EnsureDir(root + "/a/b/c").ok());
+  EXPECT_TRUE(EnsureDir(root + "/a/b/").ok());
+  EXPECT_EQ(ReadFile(root + "/a/b/c/keep"), "x");
+  // A regular file in the way of a parent fails with the path.
+  const Status blocked = EnsureDir(root + "/a/b/c/keep/d/e");
+  EXPECT_FALSE(blocked.ok());
+  EXPECT_NE(blocked.message().find("mkdir " + root + "/a/b/c/keep"),
+            std::string::npos)
+      << blocked.message();
+  std::filesystem::remove_all(root);
+}
+
+TEST(EnsureDirTest, RecoveryAndSpillDirectoriesNeedNoExistingParent) {
+  const std::string root = ::testing::TempDir() + "/dsms_nested_dirs";
+  std::filesystem::remove_all(root);
+
+  RecoveryOptions options;
+  options.dir = root + "/a/b/c/wal";
+  options.wal = true;
+  RecoveryManager manager(options);
+  ASSERT_TRUE(manager.Open().ok());
+  ASSERT_TRUE(manager.AppendFrame(kMillisecond, 1, 0, "frame").ok());
+  EXPECT_FALSE(ListSegments(options.dir).empty());
+
+  // A spilling state store (RunScenario check-fails if its setup fails).
+  ScenarioConfig config;
+  config.shape = QueryShape::kJoin;
+  config.horizon = 20 * kSecond;
+  config.warmup = 0;
+  config.join_window = 4 * kSecond;
+  config.state_spill_dir = root + "/a/b/c/spill";
+  config.state_mem_budget = 2048;
+  const ScenarioResult result = RunScenario(config);
+  EXPECT_GT(result.storage.spills, 0u);
+  EXPECT_TRUE(std::filesystem::is_directory(config.state_spill_dir));
+  std::filesystem::remove_all(root);
 }
 
 TEST(RecoveryMetricsTest, CountersPublishAndRenderAsValidJson) {
