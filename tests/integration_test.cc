@@ -86,8 +86,8 @@ TEST(IntegrationTest, SplitRoutesIntoUnionAndEtsFlowsPerBranch) {
 }
 
 TEST(IntegrationTest, TwoComponentsShareTheExecutor) {
-  // Two independent queries in one graph: the scheduler (FindWork scan)
-  // serves both; metrics are per-sink.
+  // Two independent queries in one graph: the scheduler (FindWork over the
+  // ready candidates) serves both; metrics are per-sink.
   GraphBuilder builder;
   Source* s1 = builder.AddSource("S1", TimestampKind::kInternal);
   Sink* k1 = builder.AddSink("K1");
