@@ -96,18 +96,30 @@ Status ParseStatement(int line_number, std::string_view line,
   return OkStatus();
 }
 
+namespace {
+
+/// Points `*value` at the value of `key`, or at null when the key is absent
+/// (an error when it is `required`).
+Status FindArg(const Statement& s, const std::string& key, bool required,
+               const std::string** value) {
+  auto it = s.args.find(key);
+  *value = it == s.args.end() ? nullptr : &it->second;
+  if (*value == nullptr && required) {
+    return InvalidArgumentError(
+        StrFormat("line %d: missing %s=", s.line, key.c_str()));
+  }
+  return OkStatus();
+}
+
+}  // namespace
+
 Status Statement::GetDuration(const std::string& key, Duration default_value,
                               bool required, Duration* out) const {
-  auto it = args.find(key);
-  if (it == args.end()) {
-    if (required) {
-      return InvalidArgumentError(
-          StrFormat("line %d: missing %s=", line, key.c_str()));
-    }
-    *out = default_value;
-    return OkStatus();
-  }
-  Status status = ParseDuration(it->second, out);
+  const std::string* value = nullptr;
+  DSMS_RETURN_IF_ERROR(FindArg(*this, key, required, &value));
+  *out = default_value;
+  if (value == nullptr) return OkStatus();
+  Status status = ParseDuration(*value, out);
   if (!status.ok()) {
     return InvalidArgumentError(
         StrFormat("line %d: %s", line, status.message().c_str()));
@@ -117,16 +129,10 @@ Status Statement::GetDuration(const std::string& key, Duration default_value,
 
 Status Statement::GetDouble(const std::string& key, double default_value,
                             bool required, double* out) const {
-  auto it = args.find(key);
-  if (it == args.end()) {
-    if (required) {
-      return InvalidArgumentError(
-          StrFormat("line %d: missing %s=", line, key.c_str()));
-    }
-    *out = default_value;
-    return OkStatus();
-  }
-  if (!ParseDouble(it->second, out)) {
+  const std::string* value = nullptr;
+  DSMS_RETURN_IF_ERROR(FindArg(*this, key, required, &value));
+  *out = default_value;
+  if (value != nullptr && !ParseDouble(*value, out)) {
     return InvalidArgumentError(
         StrFormat("line %d: bad number for %s", line, key.c_str()));
   }
@@ -135,16 +141,10 @@ Status Statement::GetDouble(const std::string& key, double default_value,
 
 Status Statement::GetInt(const std::string& key, int64_t default_value,
                          bool required, int64_t* out) const {
-  auto it = args.find(key);
-  if (it == args.end()) {
-    if (required) {
-      return InvalidArgumentError(
-          StrFormat("line %d: missing %s=", line, key.c_str()));
-    }
-    *out = default_value;
-    return OkStatus();
-  }
-  if (!ParseInt64(it->second, out)) {
+  const std::string* value = nullptr;
+  DSMS_RETURN_IF_ERROR(FindArg(*this, key, required, &value));
+  *out = default_value;
+  if (value != nullptr && !ParseInt64(*value, out)) {
     return InvalidArgumentError(
         StrFormat("line %d: bad integer for %s", line, key.c_str()));
   }
