@@ -91,7 +91,13 @@ Status ParseStatement(int line_number, std::string_view line,
           StrFormat("line %d: unknown %s key '%s'", line_number,
                     tokens[0].c_str(), key.c_str()));
     }
-    out->args[key] = tokens[i].substr(eq + 1);
+    // A second value would silently replace the first (`in=A in=B` would
+    // drop producer A).
+    if (!out->args.emplace(key, tokens[i].substr(eq + 1)).second) {
+      return InvalidArgumentError(
+          StrFormat("line %d: repeated %s key '%s'", line_number,
+                    tokens[0].c_str(), key.c_str()));
+    }
   }
   return OkStatus();
 }

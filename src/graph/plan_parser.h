@@ -1,8 +1,8 @@
 #ifndef DSMS_GRAPH_PLAN_PARSER_H_
 #define DSMS_GRAPH_PLAN_PARSER_H_
 
-#include <map>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -103,8 +103,9 @@ struct Statement {
 
 /// Tokenizes `line` (stripped of comment and surrounding whitespace) as a
 /// statement of `syntax`. Fails with `line N: malformed argument 'TOKEN'`
-/// for a token that is not `key=value`, and with `line N: unknown TYPE key
-/// 'KEY'` for a key outside `syntax.keys`.
+/// for a token that is not `key=value`, with `line N: unknown TYPE key
+/// 'KEY'` for a key outside `syntax.keys`, and with `line N: repeated TYPE
+/// key 'KEY'` for a key given twice.
 Status ParseStatement(int line_number, std::string_view line,
                       const StatementSyntax& syntax, Statement* out);
 

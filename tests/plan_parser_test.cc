@@ -9,6 +9,7 @@
 #include "operators/union_op.h"
 #include "operators/window_aggregate.h"
 #include "operators/window_join.h"
+#include "sim/experiment_spec.h"
 
 namespace dsms {
 namespace {
@@ -181,6 +182,31 @@ TEST(PlanParserTest, ErrorMalformedArgument) {
   auto plan = ParsePlan("stream S =bad\n");
   ASSERT_FALSE(plan.ok());
   EXPECT_NE(plan.status().message().find("malformed"), std::string::npos);
+}
+
+TEST(PlanParserTest, ErrorRepeatedKey) {
+  // A repeated key is rejected rather than letting the last value win: a
+  // second in= would drop the first producer, a second window= the first
+  // window. Experiment statements share the tokenizer.
+  const struct {
+    const char* text;
+    const char* error;
+  } kCases[] = {
+      {"stream A\nstream B\nunion U in=A in=B\nsink O in=U\n",
+       "line 3: repeated union key 'in'"},
+      {"stream A\nstream B\njoin J in=A,B window=1s window=2s\n"
+       "sink O in=J\n",
+       "line 3: repeated join key 'window'"},
+  };
+  for (const auto& c : kCases) {
+    auto plan = ParsePlan(c.text);
+    ASSERT_FALSE(plan.ok()) << c.text;
+    EXPECT_EQ(plan.status().message(), c.error);
+  }
+  auto experiment = ParseExperiment(
+      "stream S\nsink O in=S\nfeed S rate=5 seed=1 seed=2\n");
+  ASSERT_FALSE(experiment.ok());
+  EXPECT_EQ(experiment.status().message(), "line 3: repeated feed key 'seed'");
 }
 
 TEST(PlanParserTest, ErrorUnknownKeyInEveryStatement) {
