@@ -27,9 +27,9 @@ constexpr size_t kPrefixLen = 16;
 constexpr size_t kMetaFixedLen = 8 + 4 * 8 + 3 * 4;
 constexpr size_t kKeyedEntryLen = 8 + 8 + 4 + 4;
 constexpr size_t kKeylessEntryLen = 8 + 4 + 4;
-// First read of a keyed probe: covers the prefix and the directory of any
-// block with up to ~165 distinct key hashes, so one pread usually suffices.
-constexpr size_t kHeadRead = 4096;
+// Stack buffer of a keyed read's header compare: holds the prefix and the
+// directory of any block with up to ~165 distinct key hashes.
+constexpr size_t kHeadStack = 4096;
 
 constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
@@ -103,18 +103,18 @@ struct Meta {
   uint64_t end = 0;                 // file offset where the slices start
 };
 
-SliceRef KeyedEntry(const Meta& meta, uint32_t i) {
-  const char* e = meta.directory + static_cast<size_t>(i) * kKeyedEntryLen;
+/// Directory entries; `directory` points at the first keyed entry.
+SliceRef KeyedEntry(const char* directory, uint32_t i) {
+  const char* e = directory + static_cast<size_t>(i) * kKeyedEntryLen;
   return {LoadLe64(e + 8), LoadLe32(e + 16), LoadLe32(e + 20)};
 }
 
-uint64_t KeyedEntryHash(const Meta& meta, uint32_t i) {
-  return LoadLe64(meta.directory + static_cast<size_t>(i) * kKeyedEntryLen);
+uint64_t KeyedEntryHash(const char* directory, uint32_t i) {
+  return LoadLe64(directory + static_cast<size_t>(i) * kKeyedEntryLen);
 }
 
-SliceRef KeylessEntry(const Meta& meta) {
-  const char* e =
-      meta.directory + static_cast<size_t>(meta.nkeyed) * kKeyedEntryLen;
+SliceRef KeylessEntry(const char* directory, uint32_t nkeyed) {
+  const char* e = directory + static_cast<size_t>(nkeyed) * kKeyedEntryLen;
   return {LoadLe64(e), LoadLe32(e + 8), LoadLe32(e + 12)};
 }
 
@@ -193,6 +193,84 @@ Status DecodeSlice(const std::string& path, const char* data,
     rows->push_back(std::move(row));
   }
   return OkStatus();
+}
+
+/// Reads the whole file behind `fd` and checks every CRC and structure
+/// rule (see ReadBlockFile).
+Result<BlockFileContents> ReadWholeFile(const std::string& path, int fd) {
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    return InternalError(
+        StrFormat("stat %s: %s", path.c_str(), strerror(errno)));
+  }
+  std::string bytes(static_cast<size_t>(st.st_size), '\0');
+  const ssize_t got = PreadFull(fd, bytes.data(), bytes.size(), 0);
+  if (got < 0) {
+    return InternalError(
+        StrFormat("read %s: %s", path.c_str(), strerror(errno)));
+  }
+  bytes.resize(static_cast<size_t>(got));
+  uint32_t meta_len = 0;
+  DSMS_RETURN_IF_ERROR(CheckPrefix(path, bytes.data(), bytes.size(),
+                                   &meta_len));
+  if (bytes.size() < kPrefixLen + static_cast<size_t>(meta_len)) {
+    return InternalError(StrFormat("%s: truncated block", path.c_str()));
+  }
+  Meta meta;
+  DSMS_RETURN_IF_ERROR(ParseMeta(path, bytes.data(), meta_len, &meta));
+  // Every row takes at least its 4-byte ordinal, which bounds the row
+  // count before anything is sized by it.
+  if (meta.nrows > bytes.size() / 4) {
+    return InternalError(StrFormat("%s: malformed block meta", path.c_str()));
+  }
+
+  // The slices must tile the rest of the file in directory order, keyed
+  // hashes strictly rising, and together hold every ordinal exactly once.
+  std::vector<SliceRef> refs;
+  refs.reserve(meta.nkeyed + 1);
+  for (uint32_t i = 0; i < meta.nkeyed; ++i) {
+    if (i > 0 && KeyedEntryHash(meta.directory, i) <=
+                     KeyedEntryHash(meta.directory, i - 1)) {
+      return InternalError(
+          StrFormat("%s: block directory out of order", path.c_str()));
+    }
+    refs.push_back(KeyedEntry(meta.directory, i));
+  }
+  refs.push_back(KeylessEntry(meta.directory, meta.nkeyed));
+  uint64_t expected = meta.end;
+  for (const SliceRef& ref : refs) {
+    if (ref.offset != expected) {
+      return InternalError(
+          StrFormat("%s: block slices do not tile the file", path.c_str()));
+    }
+    expected += ref.len;
+  }
+  if (expected != bytes.size()) {
+    return InternalError(StrFormat("%s: truncated block", path.c_str()));
+  }
+
+  BlockFileContents block = meta.header;
+  block.rows.resize(meta.nrows);
+  std::vector<bool> seen(meta.nrows, false);
+  std::vector<BlockSliceRow> slice;
+  for (const SliceRef& ref : refs) {
+    slice.clear();
+    DSMS_RETURN_IF_ERROR(DecodeSlice(path, bytes.data() + ref.offset, ref,
+                                     meta.nrows, &slice));
+    for (BlockSliceRow& row : slice) {
+      if (seen[row.ordinal]) {
+        return InternalError(
+            StrFormat("%s: block row %u stored twice", path.c_str(),
+                      row.ordinal));
+      }
+      seen[row.ordinal] = true;
+      block.rows[row.ordinal] = std::move(row.row);
+    }
+  }
+  if (std::find(seen.begin(), seen.end(), false) != seen.end()) {
+    return InternalError(StrFormat("%s: block rows missing", path.c_str()));
+  }
+  return block;
 }
 
 }  // namespace
@@ -354,152 +432,119 @@ Status WriteBlockFile(const std::string& dir, const BlockFileContents& block) {
 }
 
 Result<BlockFileContents> ReadBlockFile(const std::string& path) {
-  ScopedFd fd(::open(path.c_str(), O_RDONLY));
+  ScopedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
   if (fd.get() < 0) {
     return InternalError(
         StrFormat("open %s: %s", path.c_str(), strerror(errno)));
   }
-  struct stat st;
-  if (::fstat(fd.get(), &st) != 0) {
-    return InternalError(
-        StrFormat("stat %s: %s", path.c_str(), strerror(errno)));
-  }
-  std::string bytes(static_cast<size_t>(st.st_size), '\0');
-  const ssize_t got = PreadFull(fd.get(), bytes.data(), bytes.size(), 0);
-  if (got < 0) {
-    return InternalError(
-        StrFormat("read %s: %s", path.c_str(), strerror(errno)));
-  }
-  bytes.resize(static_cast<size_t>(got));
-  uint32_t meta_len = 0;
-  DSMS_RETURN_IF_ERROR(CheckPrefix(path, bytes.data(), bytes.size(),
-                                   &meta_len));
-  if (bytes.size() < kPrefixLen + static_cast<size_t>(meta_len)) {
-    return InternalError(StrFormat("%s: truncated block", path.c_str()));
-  }
-  Meta meta;
-  DSMS_RETURN_IF_ERROR(ParseMeta(path, bytes.data(), meta_len, &meta));
-  // Every row takes at least its 4-byte ordinal, which bounds the row
-  // count before anything is sized by it.
-  if (meta.nrows > bytes.size() / 4) {
-    return InternalError(StrFormat("%s: malformed block meta", path.c_str()));
-  }
-
-  // The slices must tile the rest of the file in directory order, keyed
-  // hashes strictly rising, and together hold every ordinal exactly once.
-  std::vector<SliceRef> refs;
-  refs.reserve(meta.nkeyed + 1);
-  for (uint32_t i = 0; i < meta.nkeyed; ++i) {
-    if (i > 0 && KeyedEntryHash(meta, i) <= KeyedEntryHash(meta, i - 1)) {
-      return InternalError(
-          StrFormat("%s: block directory out of order", path.c_str()));
-    }
-    refs.push_back(KeyedEntry(meta, i));
-  }
-  refs.push_back(KeylessEntry(meta));
-  uint64_t expected = meta.end;
-  for (const SliceRef& ref : refs) {
-    if (ref.offset != expected) {
-      return InternalError(
-          StrFormat("%s: block slices do not tile the file", path.c_str()));
-    }
-    expected += ref.len;
-  }
-  if (expected != bytes.size()) {
-    return InternalError(StrFormat("%s: truncated block", path.c_str()));
-  }
-
-  BlockFileContents block = meta.header;
-  block.rows.resize(meta.nrows);
-  std::vector<bool> seen(meta.nrows, false);
-  std::vector<BlockSliceRow> slice;
-  for (const SliceRef& ref : refs) {
-    slice.clear();
-    DSMS_RETURN_IF_ERROR(DecodeSlice(path, bytes.data() + ref.offset, ref,
-                                     meta.nrows, &slice));
-    for (BlockSliceRow& row : slice) {
-      if (seen[row.ordinal]) {
-        return InternalError(
-            StrFormat("%s: block row %u stored twice", path.c_str(),
-                      row.ordinal));
-      }
-      seen[row.ordinal] = true;
-      block.rows[row.ordinal] = std::move(row.row);
-    }
-  }
-  if (std::find(seen.begin(), seen.end(), false) != seen.end()) {
-    return InternalError(StrFormat("%s: block rows missing", path.c_str()));
-  }
-  return block;
+  return ReadWholeFile(path, fd.get());
 }
 
-Status ReadBlockSlice(const std::string& path, int key_field,
-                      uint64_t key_hash, std::vector<BlockSliceRow>* rows) {
-  rows->clear();
-  ScopedFd fd(::open(path.c_str(), O_RDONLY));
-  if (fd.get() < 0) {
+BlockFileReader::BlockFileReader(std::string path, int fd)
+    : path_(std::move(path)), fd_(fd) {}
+
+BlockFileReader::~BlockFileReader() { ::close(fd_); }
+
+Result<std::unique_ptr<BlockFileReader>> BlockFileReader::Open(
+    std::string path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return InternalError(
         StrFormat("open %s: %s", path.c_str(), strerror(errno)));
   }
-  // One pread for the prefix and directory (a second only when the
-  // directory outgrows kHeadRead), then one for the slice.
-  char head[kHeadRead];
-  ssize_t got = PreadFull(fd.get(), head, sizeof(head), 0);
+  std::unique_ptr<BlockFileReader> reader(
+      new BlockFileReader(std::move(path), fd));
+  DSMS_RETURN_IF_ERROR(reader->Verify());
+  return reader;
+}
+
+Status BlockFileReader::Verify() {
+  char prefix[kPrefixLen];
+  const ssize_t got = PreadFull(fd_, prefix, sizeof(prefix), 0);
   if (got < 0) {
     return InternalError(
-        StrFormat("read %s: %s", path.c_str(), strerror(errno)));
+        StrFormat("read %s: %s", path_.c_str(), strerror(errno)));
   }
-  size_t have = static_cast<size_t>(got);
   uint32_t meta_len = 0;
-  DSMS_RETURN_IF_ERROR(CheckPrefix(path, head, have, &meta_len));
-  const char* data = head;
-  std::string big;
+  DSMS_RETURN_IF_ERROR(
+      CheckPrefix(path_, prefix, static_cast<size_t>(got), &meta_len));
+  // The size check comes first, so a flipped length byte cannot size a
+  // buffer past the file.
   const size_t meta_end = kPrefixLen + static_cast<size_t>(meta_len);
-  if (meta_end > have) {
-    struct stat st;
-    if (have < sizeof(head) || ::fstat(fd.get(), &st) != 0 ||
-        static_cast<uint64_t>(st.st_size) < meta_end) {
-      return InternalError(StrFormat("%s: truncated block", path.c_str()));
-    }
-    big.assign(head, have);
-    big.resize(meta_end);
-    got = PreadFull(fd.get(), big.data() + have, meta_end - have, have);
-    if (got != static_cast<ssize_t>(meta_end - have)) {
-      return InternalError(StrFormat("%s: truncated block", path.c_str()));
-    }
-    data = big.data();
+  struct stat st;
+  if (::fstat(fd_, &st) != 0 || static_cast<uint64_t>(st.st_size) < meta_end) {
+    return InternalError(StrFormat("%s: truncated block", path_.c_str()));
+  }
+  std::string bytes(meta_end, '\0');
+  if (PreadFull(fd_, bytes.data(), meta_end, 0) !=
+      static_cast<ssize_t>(meta_end)) {
+    return InternalError(StrFormat("%s: truncated block", path_.c_str()));
   }
   Meta meta;
-  DSMS_RETURN_IF_ERROR(ParseMeta(path, data, meta_len, &meta));
-  if (meta.header.key_field != key_field) {
+  DSMS_RETURN_IF_ERROR(ParseMeta(path_, bytes.data(), meta_len, &meta));
+  verified_ = std::move(bytes);
+  key_field_ = meta.header.key_field;
+  nrows_ = meta.nrows;
+  nkeyed_ = meta.nkeyed;
+  return OkStatus();
+}
+
+Status BlockFileReader::ReadSlice(int key_field, uint64_t key_hash,
+                                  std::vector<BlockSliceRow>* rows) {
+  rows->clear();
+  // The header and directory are re-read every time, exactly their
+  // length, and the cached parse is trusted only while they are unchanged;
+  // any difference re-runs the full check, which fails on a flipped byte.
+  const size_t meta_end = verified_.size();
+  char stack[kHeadStack];
+  char* head = stack;
+  if (meta_end > sizeof(stack)) {
+    buf_.resize(meta_end);
+    head = buf_.data();
+  }
+  const ssize_t got = PreadFull(fd_, head, meta_end, 0);
+  if (got < 0) {
+    return InternalError(
+        StrFormat("read %s: %s", path_.c_str(), strerror(errno)));
+  }
+  if (static_cast<size_t>(got) != meta_end ||
+      memcmp(head, verified_.data(), meta_end) != 0) {
+    DSMS_RETURN_IF_ERROR(Verify());
+  }
+  if (key_field_ != key_field) {
     return InternalError(StrFormat(
-        "%s: block sliced by field %d, probed by field %d", path.c_str(),
-        meta.header.key_field, key_field));
+        "%s: block sliced by field %d, probed by field %d", path_.c_str(),
+        key_field_, key_field));
   }
 
+  const char* directory = verified_.data() + kPrefixLen + kMetaFixedLen;
   uint32_t lo = 0;
-  uint32_t hi = meta.nkeyed;
+  uint32_t hi = nkeyed_;
   while (lo < hi) {
     const uint32_t mid = lo + (hi - lo) / 2;
-    if (KeyedEntryHash(meta, mid) < key_hash) {
+    if (KeyedEntryHash(directory, mid) < key_hash) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  if (lo == meta.nkeyed || KeyedEntryHash(meta, lo) != key_hash) {
+  if (lo == nkeyed_ || KeyedEntryHash(directory, lo) != key_hash) {
     return OkStatus();  // no row of this key in the block
   }
-  const SliceRef ref = KeyedEntry(meta, lo);
-  if (ref.offset < meta.end) {
-    return InternalError(StrFormat("%s: malformed block meta", path.c_str()));
+  const SliceRef ref = KeyedEntry(directory, lo);
+  if (ref.offset < verified_.size()) {
+    return InternalError(StrFormat("%s: malformed block meta", path_.c_str()));
   }
-  std::string slice(ref.len, '\0');
-  got = PreadFull(fd.get(), slice.data(), ref.len, ref.offset);
-  if (got != static_cast<ssize_t>(ref.len)) {
-    return InternalError(StrFormat("%s: truncated block", path.c_str()));
+  buf_.resize(ref.len);
+  if (PreadFull(fd_, buf_.data(), ref.len, ref.offset) !=
+      static_cast<ssize_t>(ref.len)) {
+    return InternalError(StrFormat("%s: truncated block", path_.c_str()));
   }
-  return DecodeSlice(path, slice.data(), ref, meta.nrows, rows);
+  return DecodeSlice(path_, buf_.data(), ref, nrows_, rows);
+}
+
+Result<BlockFileContents> BlockFileReader::ReadAll() const {
+  return ReadWholeFile(path_, fd_);
 }
 
 Status ListBlockFiles(const std::string& dir,

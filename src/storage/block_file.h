@@ -2,6 +2,7 @@
 #define DSMS_STORAGE_BLOCK_FILE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,13 +70,49 @@ Status WriteBlockFile(const std::string& dir, const BlockFileContents& block);
 /// and no graceful answer exists that preserves byte-identical replay.
 Result<BlockFileContents> ReadBlockFile(const std::string& path);
 
-/// Keyed read of one block file: reads the header and directory, checks
-/// their CRC, finds `key_hash` by binary search, then reads and CRC-checks
-/// only that slice. `*rows` receives the slice's rows in insertion order
-/// (empty when the block holds no row of that hash). `key_field` must be
-/// the field the file was sliced by.
-Status ReadBlockSlice(const std::string& path, int key_field,
-                      uint64_t key_hash, std::vector<BlockSliceRow>* rows);
+/// One spilled block file held open: a read-only descriptor plus the
+/// header and directory bytes that passed their CRC when the file was
+/// opened. The cached parse is trusted only while the bytes on disk still
+/// compare equal to that verified copy, so a flipped byte anywhere in the
+/// header or directory still fails the next read.
+class BlockFileReader {
+ public:
+  /// Opens `path` and verifies its header and directory.
+  static Result<std::unique_ptr<BlockFileReader>> Open(std::string path);
+  ~BlockFileReader();
+
+  BlockFileReader(const BlockFileReader&) = delete;
+  BlockFileReader& operator=(const BlockFileReader&) = delete;
+
+  /// Keyed read: re-reads the header and directory (exactly their length)
+  /// and compares them with the verified copy, re-running the full check
+  /// on any difference; finds `key_hash` by binary search, then reads and
+  /// CRC-checks only that slice. `*rows` receives the slice's rows in
+  /// insertion order (empty when the block holds no row of that hash).
+  /// `key_field` must be the field the file was sliced by.
+  Status ReadSlice(int key_field, uint64_t key_hash,
+                   std::vector<BlockSliceRow>* rows);
+
+  /// Whole-block read through the open descriptor, with every check of
+  /// ReadBlockFile.
+  Result<BlockFileContents> ReadAll() const;
+
+ private:
+  BlockFileReader(std::string path, int fd);
+  /// Reads the header and directory afresh, checks them, and makes them
+  /// the verified copy.
+  Status Verify();
+
+  std::string path_;
+  int fd_;
+  /// Bytes [0, 16 + meta_len) of the file as last verified.
+  std::string verified_;
+  int key_field_ = -1;
+  uint32_t nrows_ = 0;
+  uint32_t nkeyed_ = 0;
+  /// Reused for directories larger than the stack buffer and for slices.
+  std::string buf_;
+};
 
 /// All block files in `dir` as (id, full path), sorted by id. Missing
 /// directory is an empty listing, not an error.

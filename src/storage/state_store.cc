@@ -1,5 +1,6 @@
 #include "storage/state_store.h"
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -24,6 +25,16 @@ int64_t BucketOf(Timestamp ts, Duration granularity) {
   int64_t q = ts / granularity;
   if (ts % granularity < 0) --q;
   return q;
+}
+
+size_t OpenBlockBound() {
+  struct rlimit limit;
+  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0 ||
+      limit.rlim_cur == RLIM_INFINITY) {
+    return StateStore::kMaxOpenBlocks;
+  }
+  return std::clamp<size_t>(static_cast<size_t>(limit.rlim_cur / 4), 1,
+                            StateStore::kMaxOpenBlocks);
 }
 
 }  // namespace
@@ -324,7 +335,9 @@ void StateTable::Clear() {
 // ---------------------------------------------------------------- StateStore
 
 StateStore::StateStore(StorageConfig config)
-    : config_(std::move(config)), fault_rng_(0, 0xd15cULL) {
+    : config_(std::move(config)),
+      fault_rng_(0, 0xd15cULL),
+      max_open_blocks_(OpenBlockBound()) {
   DSMS_CHECK_GT(config_.granularity, 0);
 }
 
@@ -372,8 +385,7 @@ void StateStore::ChargeStallIfFaulted(StateTable* table) {
 
 void StateStore::LoadBlock(StateTable* table, StateTable::Block& block) {
   DSMS_CHECK(block.spilled);
-  Result<BlockFileContents> contents =
-      ReadBlockFile(BlockFilePath(config_.spill_dir, block.id));
+  Result<BlockFileContents> contents = OpenBlock(block.id).ReadAll();
   // Fail-stop: Result aborts on error — a missing or corrupt referenced
   // block cannot be papered over without breaking replay identity.
   BlockFileContents file = std::move(contents.value());
@@ -391,10 +403,35 @@ void StateStore::ReadSlice(StateTable* table, const StateTable::Block& block,
                            std::vector<BlockSliceRow>* rows) {
   DSMS_CHECK(block.spilled);
   // Fail-stop, like a whole-block load.
-  DSMS_CHECK_OK(ReadBlockSlice(BlockFilePath(config_.spill_dir, block.id),
-                               table->key_field_, key_hash, rows));
+  DSMS_CHECK_OK(
+      OpenBlock(block.id).ReadSlice(table->key_field_, key_hash, rows));
   ++slice_reads_;
   NoteBlockRead(table, block.id, rows->size());
+}
+
+BlockFileReader& StateStore::OpenBlock(uint64_t block_id) {
+  auto it = open_block_index_.find(block_id);
+  if (it != open_block_index_.end()) {
+    open_blocks_.splice(open_blocks_.begin(), open_blocks_, it->second);
+    return *it->second->second;
+  }
+  if (open_blocks_.size() >= max_open_blocks_) {
+    open_block_index_.erase(open_blocks_.back().first);
+    open_blocks_.pop_back();
+  }
+  Result<std::unique_ptr<BlockFileReader>> reader =
+      BlockFileReader::Open(BlockFilePath(config_.spill_dir, block_id));
+  // Fail-stop, like the reads through it.
+  open_blocks_.emplace_front(block_id, std::move(reader.value()));
+  open_block_index_[block_id] = open_blocks_.begin();
+  return *open_blocks_.front().second;
+}
+
+void StateStore::CloseBlock(uint64_t block_id) {
+  auto it = open_block_index_.find(block_id);
+  if (it == open_block_index_.end()) return;
+  open_blocks_.erase(it->second);
+  open_block_index_.erase(it);
 }
 
 void StateStore::NoteBlockRead(StateTable* table, uint64_t block_id,
@@ -442,6 +479,9 @@ bool StateStore::EvictBlock(StateTable* caller, StateTable* table,
     file.max_ts = block.max_ts;
     file.rows = std::move(block.rows);
     file.key_field = table->key_field_;
+    // The write replaces any earlier file of this id (a block restored
+    // inline), so a reader still open on that file must not serve it.
+    CloseBlock(block.id);
     DSMS_CHECK_OK(WriteBlockFile(config_.spill_dir, file));
     block.rows.clear();
     block.disk_valid = true;
@@ -513,6 +553,7 @@ void StateStore::EvictBehind(StateTable* table, StateTable::Block& block) {
 
 void StateStore::ReleaseBlockFile(uint64_t block_id) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
+  CloseBlock(block_id);
   for (const auto& [ckpt, refs] : checkpoint_refs_) {
     if (refs.count(block_id) > 0) {
       // A retained checkpoint still references the file; unlink is
@@ -585,6 +626,8 @@ void StateStore::OnCheckpoint(uint64_t checkpoint_id, int keep) {
 
 void StateStore::GcOrphanFiles() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
+  open_block_index_.clear();
+  open_blocks_.clear();
   if (config_.spill_dir.empty()) return;
   std::vector<std::pair<uint64_t, std::string>> files;
   if (!ListBlockFiles(config_.spill_dir, &files).ok()) return;

@@ -4,11 +4,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -248,12 +251,23 @@ class StateTable {
 /// spilled blocks into the checkpoint lifecycle (manifest, per-checkpoint
 /// references, deferred unlink, orphan GC on restore).
 ///
+/// Spilled blocks are read through one bounded, least-recently-used cache
+/// of open block files (`BlockFileReader`: descriptor plus verified header
+/// and directory), so a keyed probe of a block read before costs no
+/// `open` and no directory CRC. An entry is closed when its block's file
+/// is released, by `GcOrphanFiles`, on eviction from the cache and with
+/// the store.
+///
 /// Owned by the QueryGraph (declared before the operators so it outlives
 /// their tables). All entry points take one recursive mutex, so the
 /// parallel sharded executor can step bound operators concurrently; in
 /// deterministic and scalar modes the lock is uncontended.
 class StateStore {
  public:
+  /// Most block files held open at once: 256, or a quarter of the soft
+  /// RLIMIT_NOFILE when that is smaller (never below 1).
+  static constexpr size_t kMaxOpenBlocks = 256;
+
   explicit StateStore(StorageConfig config);
   ~StateStore() = default;
 
@@ -261,6 +275,8 @@ class StateStore {
   StateStore& operator=(const StateStore&) = delete;
 
   const StorageConfig& config() const { return config_; }
+  /// The open-block cache's bound on this host (see kMaxOpenBlocks).
+  size_t max_open_blocks() const { return max_open_blocks_; }
   bool spill_enabled() const {
     return config_.mem_budget > 0 && !config_.spill_dir.empty();
   }
@@ -363,11 +379,20 @@ class StateStore {
   void ReadSlice(StateTable* table, const StateTable::Block& block,
                  uint64_t key_hash, std::vector<BlockSliceRow>* rows);
 
+  /// The cached reader of spilled block `block_id`, opened (and made most
+  /// recently used) on demand; the least recently used entry is closed
+  /// when the cache is full. Fail-stop when the file cannot be opened or
+  /// its header and directory fail their check.
+  BlockFileReader& OpenBlock(uint64_t block_id);
+  /// Closes the cached reader of `block_id`, if any.
+  void CloseBlock(uint64_t block_id);
+
   /// Stall charge and trace event of one block read (whole or one slice).
   void NoteBlockRead(StateTable* table, uint64_t block_id, size_t rows);
 
-  /// A spilled block fully expired (or was dropped): unlink its file now,
-  /// or defer while a retained checkpoint still references it.
+  /// A spilled block fully expired (or was dropped): close its cached
+  /// reader, then unlink its file now, or defer while a retained checkpoint
+  /// still references it.
   void ReleaseBlockFile(uint64_t block_id);
 
   /// LoadState descriptors claim their files against the restore-time GC.
@@ -404,6 +429,15 @@ class StateStore {
   std::set<uint64_t> pending_unlink_;
   /// Files claimed by LoadState since the last GcOrphanFiles().
   std::set<uint64_t> restored_claims_;
+
+  /// Open-block cache: readers most recently used first, and their
+  /// positions by block id. Its header and directory copies sit outside
+  /// mem_budget.
+  using OpenBlockList =
+      std::list<std::pair<uint64_t, std::unique_ptr<BlockFileReader>>>;
+  OpenBlockList open_blocks_;
+  std::unordered_map<uint64_t, OpenBlockList::iterator> open_block_index_;
+  size_t max_open_blocks_;
 };
 
 /// Deterministic per-tuple byte estimate used for budget accounting: a pure

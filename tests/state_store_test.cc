@@ -9,6 +9,8 @@
 // shedding).
 
 #include <dirent.h>
+#include <limits.h>
+#include <stdlib.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -16,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -145,24 +148,31 @@ TEST(BlockFileTest, KeyedRoundTripRestoresInsertionOrder) {
   EXPECT_EQ(loaded->key_field, 0);
   EXPECT_EQ(Render(loaded->rows), Render(contents.rows));
 
+  Result<std::unique_ptr<BlockFileReader>> reader =
+      BlockFileReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   std::vector<BlockSliceRow> slice;
   ASSERT_TRUE(
-      ReadBlockSlice(path, 0, HashValue(Value(int64_t{2})), &slice).ok());
+      (*reader)->ReadSlice(0, HashValue(Value(int64_t{2})), &slice).ok());
   ASSERT_EQ(slice.size(), 2u);
   EXPECT_EQ(slice[0].ordinal, 0u);
   EXPECT_EQ(slice[1].ordinal, 3u);
   EXPECT_EQ(slice[1].row.ToString(), contents.rows[3].ToString());
   ASSERT_TRUE(
-      ReadBlockSlice(path, 0, HashValue(Value(int64_t{7})), &slice).ok());
+      (*reader)->ReadSlice(0, HashValue(Value(int64_t{7})), &slice).ok());
   EXPECT_TRUE(slice.empty());
   // A probe keyed on another field than the file was sliced by is refused.
   EXPECT_FALSE(
-      ReadBlockSlice(path, 1, HashValue(Value(int64_t{2})), &slice).ok());
+      (*reader)->ReadSlice(1, HashValue(Value(int64_t{2})), &slice).ok());
+  // The whole block reads through the same descriptor.
+  Result<BlockFileContents> whole = (*reader)->ReadAll();
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(Render(whole->rows), Render(contents.rows));
 }
 
 TEST(BlockFileTest, DirectoryLargerThanTheFirstReadIsReadWhole) {
-  // 300 distinct keys: the directory outgrows the keyed reader's first
-  // read, so it takes a second pread before the slice.
+  // 300 distinct keys: the directory outgrows the keyed reader's stack
+  // buffer, so its compare reads into the heap.
   std::string dir = FreshDir("blockwide");
   ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
   BlockFileContents contents;
@@ -171,10 +181,13 @@ TEST(BlockFileTest, DirectoryLargerThanTheFirstReadIsReadWhole) {
   for (int i = 0; i < 600; ++i) contents.rows.push_back(Row(i, i % 300, i));
   ASSERT_TRUE(WriteBlockFile(dir, contents).ok());
   const std::string path = BlockFilePath(dir, 2);
+  Result<std::unique_ptr<BlockFileReader>> reader =
+      BlockFileReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   std::vector<BlockSliceRow> slice;
   for (int k : {0, 151, 299}) {
     ASSERT_TRUE(
-        ReadBlockSlice(path, 0, HashValue(Value(int64_t{k})), &slice).ok());
+        (*reader)->ReadSlice(0, HashValue(Value(int64_t{k})), &slice).ok());
     ASSERT_EQ(slice.size(), 2u) << "key " << k;
     EXPECT_EQ(slice[0].ordinal, static_cast<uint32_t>(k));
     EXPECT_EQ(slice[1].ordinal, static_cast<uint32_t>(k + 300));
@@ -193,10 +206,10 @@ TEST(BlockFileTest, RetiredFormatFailsWithClearMessage) {
   Result<BlockFileContents> whole = ReadBlockFile(path);
   ASSERT_FALSE(whole.ok());
   EXPECT_NE(whole.status().ToString().find("DSMSBLK1"), std::string::npos);
-  std::vector<BlockSliceRow> slice;
-  Status keyed = ReadBlockSlice(path, 0, 0, &slice);
+  Result<std::unique_ptr<BlockFileReader>> keyed =
+      BlockFileReader::Open(path);
   ASSERT_FALSE(keyed.ok());
-  EXPECT_NE(keyed.ToString().find("DSMSBLK1"), std::string::npos);
+  EXPECT_NE(keyed.status().ToString().find("DSMSBLK1"), std::string::npos);
 }
 
 TEST(BlockFileTest, ListSkipsForeignFiles) {
@@ -537,6 +550,135 @@ TEST(StateStoreSliceDeathTest, AnyFlippedByteFailStopsAKeyedProbe) {
     EXPECT_DEATH(probe_every_key(), "block") << "byte " << pos;
   }
   WriteBytes(path, original);
+}
+
+TEST(StateStoreSliceDeathTest, FlippedByteOfALargeDirectoryFailStopsAProbe) {
+  // 200 keys in one block: the header and directory pass 4 KiB, so the
+  // keyed read compares them through its heap buffer.
+  SpillRig rig("slice_wide_corrupt", /*budget=*/1);
+  constexpr int kKeys = 200;
+  for (int i = 0; i < kKeys; ++i) rig.table.Append(Row(1 + i, i, i));
+  rig.table.Append(Row(kSecond + 1, 0, 99));  // seals the block
+  rig.table.MaybeEvict();
+  ASSERT_EQ(rig.table.num_spilled_blocks(), 1u);
+  const std::vector<std::string> files = ListDir(rig.config.spill_dir);
+  ASSERT_EQ(files.size(), 1u);
+  const std::string path = rig.config.spill_dir + "/" + files[0];
+  const std::string original = ReadBytes(path);
+  // Prefix (16) + fixed meta (44) + keyed entries (24 each) + key-less
+  // entry (16).
+  const size_t meta_end = 16 + 44 + kKeys * 24 + 16;
+  ASSERT_GT(meta_end, 4096u);
+  ASSERT_GT(original.size(), meta_end);
+
+  Value key(int64_t{7});
+  auto probe = [&rig, &key] {
+    return ProbeAll(rig.table, 0, kSecond / 2, &key);
+  };
+  ASSERT_EQ(probe().size(), 1u);  // intact: read and cached
+  for (size_t pos : {size_t{4096}, size_t{4500}, meta_end - 1}) {
+    std::string bytes = original;
+    bytes[pos] = static_cast<char>(bytes[pos] ^ 0xff);
+    WriteBytes(path, bytes);
+    EXPECT_DEATH(probe(), "block") << "byte " << pos;
+  }
+  WriteBytes(path, original);
+  EXPECT_EQ(probe().size(), 1u);
+}
+
+/// Descriptors of this process that point into `dir`.
+size_t OpenFilesUnder(const std::string& dir) {
+  char real[PATH_MAX];
+  if (::realpath(dir.c_str(), real) == nullptr) return 0;
+  const std::string prefix = std::string(real) + "/";
+  size_t n = 0;
+  for (const std::string& name : ListDir("/proc/self/fd")) {
+    char target[PATH_MAX];
+    const std::string link = "/proc/self/fd/" + name;
+    const ssize_t len = ::readlink(link.c_str(), target, sizeof(target) - 1);
+    if (len <= 0) continue;
+    if (std::string(target, static_cast<size_t>(len)).rfind(prefix, 0) == 0) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST(StateStoreSliceTest, OpenBlockFilesStayWithinTheCapAndCloseWithBlocks) {
+  // 10 ms buckets over 5 s: more spilled blocks than the cache holds.
+  StorageConfig config;
+  config.mem_budget = 256;
+  config.spill_dir = FreshDir("open_cap");
+  config.granularity = 10 * kMillisecond;
+  auto store = std::make_unique<StateStore>(config);
+  ASSERT_TRUE(store->Init().ok());
+  const size_t cap = store->max_open_blocks();
+  ASSERT_GE(cap, 1u);
+  ASSERT_LE(cap, StateStore::kMaxOpenBlocks);
+  const std::string& dir = config.spill_dir;
+
+  auto table = std::make_unique<StateTable>();
+  table->set_key_field(0);
+  table->Bind(store.get(), nullptr);
+  Timestamp next = 0;
+  auto fill = [&](int rows) {
+    for (int i = 0; i < rows; ++i, next += 10 * kMillisecond) {
+      table->Append(Row(next + 1, i % 5, i));
+      table->MaybeEvict();
+    }
+  };
+  auto probe_keys = [&] {
+    for (int k = 0; k < 5; ++k) {
+      Value key(static_cast<int64_t>(k));
+      (void)ProbeAll(*table, 0, next, &key);
+      EXPECT_LE(OpenFilesUnder(dir), cap) << "key " << k;
+    }
+  };
+
+  fill(500);
+  ASSERT_GT(table->num_spilled_blocks(), cap);
+  EXPECT_EQ(OpenFilesUnder(dir), 0u);  // nothing read yet
+  probe_keys();
+  EXPECT_EQ(OpenFilesUnder(dir), cap);  // the cache is full, not bypassed
+  // Expiry purges every spilled block and closes each one.
+  table->Expire(next);
+  EXPECT_EQ(table->num_spilled_blocks(), 0u);
+  EXPECT_EQ(OpenFilesUnder(dir), 0u);
+
+  // A block whose unlink is deferred for a retained checkpoint holds no
+  // descriptor.
+  fill(50);
+  probe_keys();
+  ASSERT_GT(OpenFilesUnder(dir), 0u);
+  store->OnCheckpoint(/*checkpoint_id=*/1, /*keep=*/2);
+  const size_t retained = ListDir(dir).size();
+  table->Expire(next);
+  EXPECT_EQ(table->num_spilled_blocks(), 0u);
+  EXPECT_EQ(ListDir(dir).size(), retained);
+  EXPECT_EQ(OpenFilesUnder(dir), 0u);
+
+  fill(50);
+  probe_keys();
+  ASSERT_GT(OpenFilesUnder(dir), 0u);
+  table->Clear();
+  EXPECT_EQ(OpenFilesUnder(dir), 0u);
+
+  fill(50);
+  probe_keys();
+  ASSERT_GT(OpenFilesUnder(dir), 0u);
+  store->GcOrphanFiles();
+  EXPECT_EQ(OpenFilesUnder(dir), 0u);
+  table->Clear();
+
+  // The table goes first (it releases nothing), then the store closes what
+  // it still holds.
+  fill(50);
+  probe_keys();
+  ASSERT_GT(OpenFilesUnder(dir), 0u);
+  table.reset();
+  EXPECT_GT(OpenFilesUnder(dir), 0u);
+  store.reset();
+  EXPECT_EQ(OpenFilesUnder(dir), 0u);
 }
 
 TEST(StateStoreTest, ExpirePurgesSpilledBlocksWithoutLoading) {
