@@ -31,7 +31,6 @@
 #include "operators/union_op.h"
 #include "operators/window_aggregate.h"
 #include "operators/window_join.h"
-#include "sim/experiment_spec.h"
 #include "storage/state_store.h"
 
 namespace dsms {
@@ -516,142 +515,6 @@ BENCHMARK(BM_Fig7FilterWindowChain)
     ->Arg(1)
     ->Arg(64)
     ->Arg(1024)
-    ->UseManualTime();
-
-// --- Sharded engine: shards=1 vs shards=4 on the figure workloads --------
-// (docs/execution_model.md "Sharded execution"). Both are timed in wall
-// clock (manual burst time): the shards step on worker threads, so the main
-// thread's CPU time would undercount their work and inflate items/s. items/s
-// is therefore wall-clock throughput. The virtual_tuples_per_sec counter is
-// the virtual-time figure: parallel shards burn virtual CPU concurrently
-// (the epoch barrier advances the clock by the MAX per-shard cost, not the
-// sum), so a balanced 4-shard partition clears more virtual throughput
-// than the scalar engine whatever the wall clock says.
-
-/// Four independent fig7-style chains (source -> 95% filter -> tumbling
-/// window sum -> sink), stream ids 0-3 — which FNV-partition one chain per
-/// shard at shards=4.
-void BM_ShardedFig7Chains(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  constexpr int kChains = 4;
-  constexpr int64_t kBurst = 256;  // per chain per round
-  GraphBuilder builder;
-  std::vector<Source*> sources;
-  for (int i = 0; i < kChains; ++i) {
-    Source* source = builder.AddSource("S" + std::to_string(i),
-                                       TimestampKind::kInternal);
-    Filter* filter = builder.AddFilter(
-        "F" + std::to_string(i),
-        [](const Tuple& t) { return t.value(0).AsDouble() >= 0.05; });
-    WindowAggregate* agg = builder.AddWindowAggregate(
-        "W" + std::to_string(i), AggKind::kSum, 0, /*window=*/1024,
-        /*slide=*/1024);
-    Sink* sink = builder.AddSink("OUT" + std::to_string(i));
-    builder.Connect(source, filter);
-    builder.Connect(filter, agg);
-    builder.Connect(agg, sink);
-    sources.push_back(source);
-  }
-  auto graph = builder.Build();
-  DSMS_CHECK_OK(graph.status());
-  VirtualClock clock;
-  ExecConfig config;  // default cost model: virtual time is the measurement
-  config.shards = shards;
-  config.shard_mode = ShardMode::kParallel;
-  std::unique_ptr<Executor> executor =
-      MakeExecutor(graph->get(), &clock, config).value();
-  Pcg32 rng(7);
-  uint64_t tuples = 0;
-  for (auto _ : state) {
-    // Staged untimed: arrival is not the path under test.
-    Timestamp now = clock.now();
-    for (int64_t i = 0; i < kBurst; ++i) {
-      ++now;
-      for (Source* source : sources) {
-        source->Ingest({Value(rng.NextDouble())}, now);
-      }
-    }
-    const BurstClock::time_point start = BurstClock::now();
-    executor->RunUntilIdle();
-    SetBurstTime(state, start);
-    tuples += kChains * kBurst;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(tuples));
-  const double vseconds = DurationToSeconds(clock.now());
-  state.counters["virtual_tuples_per_sec"] =
-      vseconds > 0 ? static_cast<double>(tuples) / vseconds : 0;
-  state.SetLabel(shards > 1 ? "parallel shards" : "scalar dfs");
-}
-BENCHMARK(BM_ShardedFig7Chains)
-    ->ArgName("shards")
-    ->Arg(1)
-    ->Arg(4)
-    ->UseManualTime();
-
-/// Four independent fig8-style union pairs (two streams -> filters ->
-/// ordered union -> sink). Each pair's streams land on different shards,
-/// so every union has one cross-shard input arc — punctuation/ETS hop
-/// shard boundaries on the hot path, the fig8 queue-growth shape.
-void BM_ShardedFig8Unions(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  constexpr int kPairs = 4;
-  constexpr int64_t kBurst = 256;  // per stream per round
-  GraphBuilder builder;
-  std::vector<Source*> sources;
-  for (int i = 0; i < kPairs; ++i) {
-    Source* a = builder.AddSource("A" + std::to_string(i),
-                                  TimestampKind::kInternal);
-    Source* b = builder.AddSource("B" + std::to_string(i),
-                                  TimestampKind::kInternal);
-    Filter* fa = builder.AddFilter("FA" + std::to_string(i),
-                                   [](const Tuple&) { return true; });
-    Filter* fb = builder.AddFilter("FB" + std::to_string(i),
-                                   [](const Tuple&) { return true; });
-    Union* u = builder.AddUnion("U" + std::to_string(i));
-    Sink* sink = builder.AddSink("OUT" + std::to_string(i));
-    builder.Connect(a, fa);
-    builder.Connect(b, fb);
-    builder.Connect(fa, u);
-    builder.Connect(fb, u);
-    builder.Connect(u, sink);
-    sources.push_back(a);
-    sources.push_back(b);
-  }
-  auto graph = builder.Build();
-  DSMS_CHECK_OK(graph.status());
-  VirtualClock clock;
-  ExecConfig config;  // default cost model: virtual time is the measurement
-  config.ets.mode = EtsMode::kOnDemand;
-  config.shards = shards;
-  config.shard_mode = ShardMode::kParallel;
-  std::unique_ptr<Executor> executor =
-      MakeExecutor(graph->get(), &clock, config).value();
-  uint64_t tuples = 0;
-  int64_t seq = 0;
-  for (auto _ : state) {
-    Timestamp now = clock.now();
-    for (int64_t i = 0; i < kBurst; ++i) {
-      ++now;
-      for (Source* source : sources) {
-        source->Ingest({Value(seq)}, now);
-      }
-      ++seq;
-    }
-    const BurstClock::time_point start = BurstClock::now();
-    executor->RunUntilIdle();
-    SetBurstTime(state, start);
-    tuples += static_cast<uint64_t>(sources.size()) * kBurst;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(tuples));
-  const double vseconds = DurationToSeconds(clock.now());
-  state.counters["virtual_tuples_per_sec"] =
-      vseconds > 0 ? static_cast<double>(tuples) / vseconds : 0;
-  state.SetLabel(shards > 1 ? "parallel shards" : "scalar dfs");
-}
-BENCHMARK(BM_ShardedFig8Unions)
-    ->ArgName("shards")
-    ->Arg(1)
-    ->Arg(4)
     ->UseManualTime();
 
 void BM_PlanParser(benchmark::State& state) {

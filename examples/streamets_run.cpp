@@ -53,11 +53,6 @@ const std::vector<dsms::FlagHelp> kFlags = {
     {"--batch", "N",
      "batch mode: row runs of up to N tuples per step (0 = off; overrides "
      "the file's batch line)"},
-    {"--shards", "N",
-     "sharded execution with N worker shards (DFS only; overrides the "
-     "file's run shards=)"},
-    {"--shard-mode", "MODE",
-     "deterministic|parallel shard scheduling (overrides run mode=)"},
     {"--sink-dump", "DIR",
      "write every sink's delivered tuples to DIR/sink-<name>.out, one "
      "line per tuple (byte-comparable across runs, e.g. spill vs "
@@ -95,8 +90,6 @@ int main(int argc, char** argv) {
   std::string spill_dir;
   long long mem_budget = -1;
   long batch_size = -1;
-  long shards = -1;
-  std::string shard_mode;
 
   // SIZE with an optional binary k/m/g suffix, as in the `state` statement.
   auto parse_size = [](const char* text, long long* out) {
@@ -123,12 +116,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--batch must be >= 0\n");
         return 1;
       }
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = std::strtol(argv[++i], nullptr, 10);
-      if (shards < 1) {
-        std::fprintf(stderr, "--shards must be >= 1\n");
-        return 1;
-      }
     } else if (std::strcmp(argv[i], "--sink-dump") == 0 && i + 1 < argc) {
       sink_dump = argv[++i];
     } else if (std::strcmp(argv[i], "--spill-dir") == 0 && i + 1 < argc) {
@@ -136,13 +123,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--mem-budget") == 0 && i + 1 < argc) {
       if (!parse_size(argv[++i], &mem_budget)) {
         std::fprintf(stderr, "bad --mem-budget value\n");
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--shard-mode") == 0 && i + 1 < argc) {
-      shard_mode = argv[++i];
-      if (shard_mode != "deterministic" && shard_mode != "parallel") {
-        std::fprintf(stderr,
-                     "--shard-mode must be deterministic or parallel\n");
         return 1;
       }
     } else if (std::strcmp(argv[i], "--help") == 0) {
@@ -192,18 +172,6 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) experiment->trace.path = trace_path;
   if (batch_size >= 0) {
     experiment->run.batch = static_cast<size_t>(batch_size);
-  }
-  if (shards >= 1) {
-    if (shards > 1 && experiment->run.executor != ExecutorKind::kDfs) {
-      std::fprintf(stderr, "--shards requires executor=dfs\n");
-      return 1;
-    }
-    experiment->run.shards = static_cast<int>(shards);
-  }
-  if (!shard_mode.empty()) {
-    experiment->run.shard_mode = shard_mode == "parallel"
-                                     ? ShardMode::kParallel
-                                     : ShardMode::kDeterministic;
   }
   if (!spill_dir.empty()) experiment->storage.spill_dir = spill_dir;
   if (mem_budget >= 0) {
@@ -256,12 +224,6 @@ int main(int argc, char** argv) {
               static_cast<long long>(report->peak_queue_total),
               static_cast<unsigned long long>(report->ets_generated));
   std::printf("executor: %s\n", report->exec.ToString().c_str());
-  if (report->shards_used > 0) {
-    std::printf("shards: %llu (hops=%llu, epochs=%llu)\n",
-                static_cast<unsigned long long>(report->shards_used),
-                static_cast<unsigned long long>(report->shard_hops),
-                static_cast<unsigned long long>(report->shard_epochs));
-  }
   if (experiment->storage.enabled) {
     const StorageStats& storage = report->storage;
     std::printf("state store: hot=%llu B, spilled=%llu B "

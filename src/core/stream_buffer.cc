@@ -31,25 +31,7 @@ void StreamBuffer::AddListener(BufferListener* listener) {
   listeners_.push_back(listener);
 }
 
-namespace {
-/// Locks `mutex` when non-null; listener dispatch in parallel sharded mode
-/// crosses shard threads, everything else on a buffer stays single-threaded.
-class MaybeLock {
- public:
-  explicit MaybeLock(std::mutex* mutex) : mutex_(mutex) {
-    if (mutex_ != nullptr) mutex_->lock();
-  }
-  ~MaybeLock() {
-    if (mutex_ != nullptr) mutex_->unlock();
-  }
-
- private:
-  std::mutex* mutex_;
-};
-}  // namespace
-
 bool StreamBuffer::AllowPush(const Tuple& tuple) {
-  MaybeLock lock(notify_mutex_);
   for (BufferListener* listener : listeners_) {
     if (!listener->OnBeforePush(*this, tuple)) return false;
   }
@@ -73,12 +55,10 @@ void StreamBuffer::ShedHead() {
 }
 
 void StreamBuffer::NotifyPush(const Tuple& tuple) {
-  MaybeLock lock(notify_mutex_);
   for (BufferListener* listener : listeners_) listener->OnPush(*this, tuple);
 }
 
 void StreamBuffer::NotifyPop(const Tuple& tuple) {
-  MaybeLock lock(notify_mutex_);
   for (BufferListener* listener : listeners_) listener->OnPop(*this, tuple);
 }
 
@@ -98,7 +78,7 @@ void StreamBuffer::EnsureCapacity(size_t needed) {
 
 void StreamBuffer::PushAll(std::vector<Tuple> tuples) {
   if (tuples.empty()) return;
-  if (!listeners_.empty() || capacity_limit_ != 0 || diverter_ != nullptr) {
+  if (!listeners_.empty() || capacity_limit_ != 0) {
     // Veto hooks and overload policies are per-tuple decisions; route
     // through the scalar path (bookkeeping is identical, and the tracker
     // notification collapses to the same empty->non-empty transition).

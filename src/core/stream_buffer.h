@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,19 +14,6 @@
 namespace dsms {
 
 class StreamBuffer;
-
-/// Producer-side interception for cross-shard arcs (parallel sharded
-/// execution). When a diverter is installed, Push() offers the tuple to it
-/// BEFORE touching any buffer state; a diverted tuple leaves the producer
-/// thread without mutating the consumer shard's buffer, and the consumer
-/// shard later applies full push bookkeeping via DeliverDiverted().
-class BufferDiverter {
- public:
-  virtual ~BufferDiverter() = default;
-  /// Returns true when the tuple was taken (the push is complete from the
-  /// producer's point of view); false lets the push proceed locally.
-  virtual bool Divert(StreamBuffer* buffer, Tuple&& tuple) = 0;
-};
 
 /// Observer notified on every enqueue/dequeue of a StreamBuffer. The
 /// simulation attaches one global listener (metrics/QueueSizeTracker) to
@@ -52,14 +38,10 @@ class BufferListener {
   virtual void OnPop(const StreamBuffer& buffer, const Tuple& tuple) = 0;
 };
 
-/// Occupancy counter with one writer but cross-thread readers. In parallel
-/// sharded execution the consumer shard applies all push/pop bookkeeping on
-/// a cross-shard arc while the producer shard's yield check reads empty() on
-/// the same buffer; a stale read only delays the producer's Forward by one
-/// superstep, but the load itself must be well-defined. Only the consumer
-/// shard ever mutates, so writes are a plain load+store pair and reads are
-/// relaxed loads — identical codegen to a raw size_t on x86, zero cost for
-/// the single-threaded executors.
+/// Occupancy counter with one writer and relaxed-atomic reads: a read from
+/// another thread is well-defined, and the codegen is that of a raw size_t
+/// on x86, so the single-threaded executors pay nothing for it. No reader
+/// on another thread exists today.
 class SingleWriterCount {
  public:
   operator size_t() const { return value_.load(std::memory_order_relaxed); }
@@ -240,26 +222,6 @@ class StreamBuffer {
   /// through the existing accessors.
   void SnapshotTuples(std::vector<Tuple>* out) const;
 
-  // --- parallel sharded execution support (exec/sharded_executor) ---
-
-  /// Installs (or with nullptr removes) a cross-shard diverter. Consulted at
-  /// the top of Push before any counter/ring/listener work, so a producer on
-  /// a foreign shard thread never mutates this buffer's state.
-  void set_diverter(BufferDiverter* diverter) { diverter_ = diverter; }
-  BufferDiverter* diverter() const { return diverter_; }
-
-  /// Consumer-side completion of a diverted push: identical bookkeeping to
-  /// Push (veto, overload policy, counters, tracker, listeners) except the
-  /// diverter is not consulted again. Only the consumer shard's thread may
-  /// call this.
-  bool DeliverDiverted(Tuple&& tuple) { return PushLocal(std::move(tuple)); }
-
-  /// When set, listener dispatch (OnBeforePush/OnPush/OnPop) is serialized
-  /// under this mutex. Parallel sharded mode shares global listeners
-  /// (QueueSizeTracker, OrderValidator) across shard threads; everything
-  /// else about the buffer stays single-threaded per consumer shard.
-  void set_notify_mutex(std::mutex* mutex) { notify_mutex_ = mutex; }
-
   /// Restores checkpointed contents and lifetime counters. Requires an
   /// empty buffer with no listeners or tracker attached (restore runs
   /// before the executor and metrics wiring exist), so no notifications are
@@ -273,18 +235,6 @@ class StreamBuffer {
  private:
   template <typename T>
   bool PushImpl(T&& tuple) {
-    if (diverter_ != nullptr) {
-      // A declining diverter (returns false) must leave the tuple intact so
-      // the push can complete locally.
-      Tuple offered(std::forward<T>(tuple));
-      if (diverter_->Divert(this, std::move(offered))) return true;
-      return PushLocal(std::move(offered));
-    }
-    return PushLocal(std::forward<T>(tuple));
-  }
-
-  template <typename T>
-  bool PushLocal(T&& tuple) {
     if (!listeners_.empty() && !AllowPush(tuple)) {
       ++vetoed_pushes_;
       return false;
@@ -341,8 +291,6 @@ class StreamBuffer {
   std::vector<BufferListener*> listeners_;
   ReadyTracker* tracker_ = nullptr;
   int tracker_consumer_ = -1;
-  BufferDiverter* diverter_ = nullptr;
-  std::mutex* notify_mutex_ = nullptr;  // serializes listener dispatch only
 };
 
 }  // namespace dsms

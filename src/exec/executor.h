@@ -38,21 +38,12 @@ struct CostModel {
   Duration ets_generation = 5;
 };
 
-/// How the sharded executor schedules its shards (exec/sharded_executor.h).
+/// A one-value leftover of the retired sharded engine: nothing in the
+/// engine reads it, but the benchmark harness still assigns
+/// ExecConfig::shard_mode. Delete with the next benchmark-only change.
 enum class ShardMode {
-  /// All shards interleave cooperatively on one thread, handing control
-  /// across shard boundaries at NOS granularity with a virtual-time epoch
-  /// barrier at every idle return. Byte-identical to single-shard DFS
-  /// execution — the mode the trace-equivalence and chaos byte-identity
-  /// suites run.
   kDeterministic = 0,
-  /// One free-running std::thread per shard with lock-free SPSC cross-shard
-  /// queues, synchronized at bulk-synchronous superstep barriers. Real
-  /// parallelism; not byte-identical to the scalar schedule.
-  kParallel = 1,
 };
-
-const char* ShardModeToString(ShardMode mode);
 
 /// Execution configuration shared by all executors.
 struct ExecConfig {
@@ -71,17 +62,8 @@ struct ExecConfig {
   /// Execution tracer (owned by the caller, must outlive the executor);
   /// null (the default) disables tracing — every hook is one null check.
   Tracer* tracer = nullptr;
-  /// Number of worker shards for the sharded executor; 1 (the default)
-  /// means unsharded execution. Streams hash-partition across shards by
-  /// stream id (exec/shard_partitioner.h). Only the DFS strategy shards.
-  int shards = 1;
-  /// Shard scheduling discipline; ignored when shards == 1.
+  /// Unread; see ShardMode. Delete with the next benchmark-only change.
   ShardMode shard_mode = ShardMode::kDeterministic;
-  /// Base seed for the per-shard Pcg32 streams (parallel-mode idle backoff
-  /// jitter). Shard s draws from Pcg32(shard_seed ^ s), so a run reproduces
-  /// identically at any shard count from one seed — DSMS_TEST_SEED flows in
-  /// here through the test harness.
-  uint64_t shard_seed = 0;
 };
 
 /// Common machinery for executors: cost charging, idle-waiting trackers for

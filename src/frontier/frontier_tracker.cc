@@ -1,8 +1,6 @@
 #include "frontier/frontier_tracker.h"
 
 #include <algorithm>
-#include <utility>
-#include <vector>
 
 #include "common/strings.h"
 #include "obs/metrics_registry.h"
@@ -98,41 +96,6 @@ Timestamp FrontierTracker::CheckpointFrontier() const {
   if (any_trusted) return trusted;
   if (any) return all;
   return kMinTimestamp;
-}
-
-void FrontierTracker::SubscribeCouldResultIn(int op_id,
-                                             std::vector<int32_t> streams) {
-  could_result_in_[op_id] = std::move(streams);
-}
-
-Timestamp FrontierTracker::CouldResultInBound(int op_id) const {
-  auto it = could_result_in_.find(op_id);
-  if (it == could_result_in_.end()) return kMinTimestamp;
-  Timestamp trusted = kMaxTimestamp;
-  Timestamp all = kMaxTimestamp;
-  bool any = false;
-  bool any_trusted = false;
-  for (int32_t stream : it->second) {
-    auto pit = participants_.find(stream);
-    if (pit == participants_.end() || pit->second.source == nullptr) continue;
-    const Participant& p = pit->second;
-    const Timestamp bound = p.source->promised_bound();
-    any = true;
-    all = std::min(all, bound);
-    if (p.health != SourceHealth::kQuarantined && !p.revoked) {
-      any_trusted = true;
-      trusted = std::min(trusted, bound);
-    }
-  }
-  if (any_trusted) return trusted;
-  if (any) return all;
-  return kMinTimestamp;
-}
-
-const std::vector<int32_t>& FrontierTracker::subscription(int op_id) const {
-  static const std::vector<int32_t> kEmpty;
-  auto it = could_result_in_.find(op_id);
-  return it == could_result_in_.end() ? kEmpty : it->second;
 }
 
 Timestamp FrontierTracker::GlobalFrontier() const {
@@ -390,8 +353,6 @@ void FrontierTracker::PublishTo(MetricsRegistry* registry,
   registry->SetCounter(prefix + ".revocations", revocations_);
   registry->SetCounter(prefix + ".quarantines", quarantines_);
   registry->SetCounter(prefix + ".transitions", transitions_);
-  registry->SetGauge(prefix + ".subscriptions",
-                     static_cast<double>(could_result_in_.size()));
   for (const auto& [stream, p] : participants_) {
     const std::string sp = StrFormat("%s.stream.%d", prefix.c_str(), stream);
     registry->SetGauge(sp + ".state", static_cast<double>(p.health));

@@ -5,7 +5,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/clock.h"
 #include "common/time.h"
@@ -219,29 +218,6 @@ class FrontierTracker {
   /// from any idle point; bookkeeping only.
   void Poll(Timestamp now);
 
-  // --- per-operator could-result-in subscriptions (sharded execution) ---
-
-  /// Declares that the streams in `streams` could result in input for
-  /// operator `op_id` — its ancestor sources under the shard plan
-  /// (ShardPlan::upstream_streams). Replaces any previous subscription for
-  /// that operator. Structural state: the sharded executor rebuilds
-  /// subscriptions from the plan at construction, so they are not
-  /// checkpointed. Purely advisory — subscriptions shape
-  /// CouldResultInBound and frontier.* metrics, never which tuples move.
-  void SubscribeCouldResultIn(int op_id, std::vector<int32_t> streams);
-
-  /// The per-operator view of CheckpointFrontier: minimum promised bound
-  /// over `op_id`'s subscribed streams, applying the same trust rules
-  /// (quarantined/revoked promises excluded, falling back to all subscribed
-  /// participants when none are trusted). kMinTimestamp for an operator
-  /// with no subscription or whose streams are not registered.
-  Timestamp CouldResultInBound(int op_id) const;
-
-  /// Operators with a standing could-result-in subscription.
-  size_t num_subscriptions() const { return could_result_in_.size(); }
-  /// Subscribed streams of `op_id`; empty when not subscribed.
-  const std::vector<int32_t>& subscription(int op_id) const;
-
   // --- inspection ---
 
   const Participant* participant(int32_t stream_id) const;
@@ -282,8 +258,6 @@ class FrontierTracker {
   Tracer* tracer_ = nullptr;
   const VirtualClock* clock_ = nullptr;
   std::map<int32_t, Participant> participants_;
-  /// Operator id -> ascending stream ids that could result in its input.
-  std::map<int, std::vector<int32_t>> could_result_in_;
 
   uint64_t violations_ = 0;
   uint64_t benign_reports_ = 0;

@@ -1,6 +1,7 @@
 #include "graph/plan_parser.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -146,13 +147,25 @@ Status Statement::GetDouble(const std::string& key, double default_value,
 }
 
 Status Statement::GetInt(const std::string& key, int64_t default_value,
-                         bool required, int64_t* out) const {
+                         bool required, int64_t min, int64_t max,
+                         int64_t* out) const {
   const std::string* value = nullptr;
   DSMS_RETURN_IF_ERROR(FindArg(*this, key, required, &value));
   *out = default_value;
-  if (value != nullptr && !ParseInt64(*value, out)) {
+  if (value == nullptr) return OkStatus();
+  if (!ParseInt64(*value, out)) {
     return InvalidArgumentError(
         StrFormat("line %d: bad integer for %s", line, key.c_str()));
+  }
+  if (*out < min) {
+    return InvalidArgumentError(StrFormat("line %d: %s must be >= %lld", line,
+                                          key.c_str(),
+                                          static_cast<long long>(min)));
+  }
+  if (*out > max) {
+    return InvalidArgumentError(StrFormat("line %d: %s must be <= %lld", line,
+                                          key.c_str(),
+                                          static_cast<long long>(max)));
   }
   return OkStatus();
 }
@@ -329,13 +342,14 @@ Status PlanAssembler::AddStatement(const Statement& s) {
             StrFormat("line %d: selectivity out of [0,1]", s.line));
       }
       int64_t seed = 1;
-      DSMS_RETURN_IF_ERROR(s.GetInt("seed", 1, false, &seed));
+      DSMS_RETURN_IF_ERROR(
+          s.GetInt("seed", 1, false, INT64_MIN, INT64_MAX, &seed));
       op = builder_.AddRandomDropFilter(s.name, selectivity,
                                         static_cast<uint64_t>(seed));
     } else {
       int64_t field = 0;
       double value = 0.0;
-      DSMS_RETURN_IF_ERROR(s.GetInt("field", 0, true, &field));
+      DSMS_RETURN_IF_ERROR(s.GetInt("field", 0, true, 0, INT_MAX, &field));
       DSMS_RETURN_IF_ERROR(s.GetDouble("value", 0.0, true, &value));
       auto it = s.args.find("op");
       if (it == s.args.end()) {
@@ -392,7 +406,7 @@ Status PlanAssembler::AddStatement(const Statement& s) {
     std::vector<int> fields;
     for (const std::string& piece : StrSplit(it->second, ',')) {
       int64_t index = 0;
-      if (!ParseInt64(piece, &index) || index < 0) {
+      if (!ParseInt64(piece, &index) || index < 0 || index > INT_MAX) {
         return InvalidArgumentError(
             StrFormat("line %d: bad field index '%s'", s.line,
                       piece.c_str()));
@@ -428,8 +442,10 @@ Status PlanAssembler::AddStatement(const Statement& s) {
     if (s.args.count("left_field") > 0 || s.args.count("right_field") > 0) {
       int64_t left_field = 0;
       int64_t right_field = 0;
-      DSMS_RETURN_IF_ERROR(s.GetInt("left_field", 0, true, &left_field));
-      DSMS_RETURN_IF_ERROR(s.GetInt("right_field", 0, true, &right_field));
+      DSMS_RETURN_IF_ERROR(
+          s.GetInt("left_field", 0, true, 0, INT_MAX, &left_field));
+      DSMS_RETURN_IF_ERROR(
+          s.GetInt("right_field", 0, true, 0, INT_MAX, &right_field));
       equi_left = static_cast<int>(left_field);
       equi_right = static_cast<int>(right_field);
       predicate = WindowJoin::EquiJoin(equi_left, equi_right);
@@ -453,7 +469,7 @@ Status PlanAssembler::AddStatement(const Statement& s) {
     int equi_field = -1;
     if (s.args.count("key") > 0) {
       int64_t key = 0;
-      DSMS_RETURN_IF_ERROR(s.GetInt("key", 0, true, &key));
+      DSMS_RETURN_IF_ERROR(s.GetInt("key", 0, true, 0, INT_MAX, &key));
       equi_field = static_cast<int>(key);
       predicate = MultiWayJoin::EquiJoin(equi_field);
     }
@@ -489,9 +505,9 @@ Status PlanAssembler::AddStatement(const Statement& s) {
           StrFormat("line %d: bad fn= '%s'", s.line, it->second.c_str()));
     }
     int64_t key = 0;
-    DSMS_RETURN_IF_ERROR(s.GetInt("key", 0, true, &key));
+    DSMS_RETURN_IF_ERROR(s.GetInt("key", 0, true, 0, INT_MAX, &key));
     int64_t field = 0;
-    DSMS_RETURN_IF_ERROR(s.GetInt("field", 0, false, &field));
+    DSMS_RETURN_IF_ERROR(s.GetInt("field", 0, false, 0, INT_MAX, &field));
     Duration window = 0;
     DSMS_RETURN_IF_ERROR(s.GetDuration("window", 0, true, &window));
     Duration slide = 0;
@@ -526,7 +542,7 @@ Status PlanAssembler::AddStatement(const Statement& s) {
           StrFormat("line %d: bad fn= '%s'", s.line, it->second.c_str()));
     }
     int64_t field = 0;
-    DSMS_RETURN_IF_ERROR(s.GetInt("field", 0, false, &field));
+    DSMS_RETURN_IF_ERROR(s.GetInt("field", 0, false, 0, INT_MAX, &field));
     Duration window = 0;
     DSMS_RETURN_IF_ERROR(s.GetDuration("window", 0, true, &window));
     Duration slide = 0;

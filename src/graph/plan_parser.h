@@ -97,8 +97,12 @@ struct Statement {
                      bool required, Duration* out) const;
   Status GetDouble(const std::string& key, double default_value,
                    bool required, double* out) const;
+  /// Integers are bounded: a value outside [`min`, `max`] fails with `line
+  /// N: KEY must be >= MIN` (or `<= MAX`), so a key read into an `int`
+  /// passes `max` = INT_MAX and can neither wrap nor reach a downstream
+  /// check. Every integer key of both languages is read here.
   Status GetInt(const std::string& key, int64_t default_value, bool required,
-                int64_t* out) const;
+                int64_t min, int64_t max, int64_t* out) const;
 };
 
 /// Tokenizes `line` (stripped of comment and surrounding whitespace) as a

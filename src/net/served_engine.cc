@@ -42,11 +42,7 @@ Status ServedEngine::AssembleStack() {
 
   ExecConfig config = ExecConfigForRun(run);
   config.tracer = tracer_.get();
-  config.shard_mode = ShardMode::kDeterministic;
-  Result<std::unique_ptr<Executor>> executor =
-      MakeExecutor(graph, &clock_, config, run.executor, run.quantum);
-  if (!executor.ok()) return executor.status();
-  executor_ = std::move(*executor);
+  executor_ = MakeExecutor(graph, &clock_, config, run.executor, run.quantum);
   if (recovery_ != nullptr) {
     recovery_->RestoreExecutor(executor_.get());
     DSMS_RETURN_IF_ERROR(recovery_->AttachSinks(graph));

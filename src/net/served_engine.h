@@ -26,8 +26,7 @@ namespace dsms {
 ///   3. with a `wal` statement, RecoveryManager Open and RestoreGraph:
 ///      checkpointed buffer contents land before the executor constructor
 ///      scans them to seed its ready queue;
-///   4. the executor, from MakeExecutor, always in the deterministic shard
-///      mode (checkpoint blobs encode a deterministic schedule position);
+///   4. the executor, from MakeExecutor;
 ///   5. RestoreExecutor and AttachSinks;
 ///   6. after a restore, the horizon shrinks to what is left of it past the
 ///      restored clock;

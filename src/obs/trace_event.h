@@ -58,11 +58,8 @@ enum class TraceEventType : uint8_t {
   /// `detail` is a FrontierEventKind, `arg` its payload (new SourceHealth,
   /// FrontierViolation, or stream id — see frontier/frontier_tracker.h).
   kFrontier = 13,
-  /// Sharded execution crossed a shard boundary: control (deterministic
-  /// mode) or a tuple (parallel mode) moved from the shard in `detail` to
-  /// the shard in `arg`, arriving at operator `op_id`
-  /// (exec/sharded_executor.h).
-  kShardHop = 14,
+  // 14 was the retired shard-hop event; the value stays unused so the
+  // numbering of the events after it is unchanged.
   /// The state store evicted a block of operator `op_id`'s state to disk:
   /// `arg` is the block id, `dur` reused to carry the row count
   /// (storage/state_store.h).

@@ -47,8 +47,6 @@ const char* TraceEventTypeToString(TraceEventType type) {
       return "batch_drain";
     case TraceEventType::kFrontier:
       return "frontier";
-    case TraceEventType::kShardHop:
-      return "shard_hop";
     case TraceEventType::kStateSpill:
       return "state_spill";
     case TraceEventType::kStateLoad:
@@ -261,13 +259,6 @@ void Tracer::WriteChromeTrace(std::ostream& os) const {
             FrontierEventKindToString(
                 static_cast<FrontierEventKind>(event.detail)),
             ts, tid, arg));
-        break;
-      case TraceEventType::kShardHop:
-        emit(StrFormat(
-            "{\"name\": \"shard_hop\", \"cat\": \"shard\", \"ph\": \"i\", "
-            "\"s\": \"t\", \"ts\": %lld, \"pid\": 0, \"tid\": %d, "
-            "\"args\": {\"from_shard\": %d, \"to_shard\": %lld}}",
-            ts, tid, static_cast<int>(event.detail), arg));
         break;
       case TraceEventType::kStateSpill:
       case TraceEventType::kStateLoad:

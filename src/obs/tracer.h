@@ -108,14 +108,6 @@ class Tracer {
                     kind});
   }
 
-  /// A shard-boundary crossing in sharded execution: control or a tuple
-  /// moved `from_shard` -> `to_shard`, arriving at operator `op_id`.
-  void RecordShardHop(int op_id, int from_shard, int to_shard) {
-    Push(TraceEvent{clock_->now(), 0, to_shard, op_id,
-                    TraceEventType::kShardHop,
-                    static_cast<uint8_t>(from_shard)});
-  }
-
   /// The state store spilled block `block_id` (`rows` rows) of operator
   /// `op_id`'s state to disk.
   void RecordStateSpill(int op_id, int64_t block_id, int64_t rows) {

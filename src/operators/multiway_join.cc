@@ -203,8 +203,10 @@ void MultiWayJoin::ProbeRecursive(size_t depth, int fresh_input,
 
 void MultiWayJoin::ProcessData(int input, Tuple tuple) {
   // Hold the store lock across the whole probe cascade: nested probes keep
-  // references into resident blocks, which a concurrent shard's eviction
-  // could otherwise drop mid-recursion.
+  // references into resident blocks, which an eviction by another thread
+  // stepping an operator of the same store could otherwise drop
+  // mid-recursion. The engine steps on one thread today, so the lock is
+  // uncontended.
   StateStore::Guard guard(store_);
   Timestamp tau = tuple.timestamp();
   ExpireAllWindows(tau);

@@ -1,5 +1,7 @@
 #include "sim/experiment_spec.h"
 
+#include <climits>
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -16,7 +18,6 @@
 #include "exec/dfs_executor.h"
 #include "exec/greedy_memory_executor.h"
 #include "exec/round_robin_executor.h"
-#include "exec/sharded_executor.h"
 #include "metrics/stats_report.h"
 #include "obs/metrics_registry.h"
 #include "obs/tracer.h"
@@ -43,7 +44,7 @@ const StatementSyntax kStatementSyntax[] = {
     {"run",
      false,
      {"horizon", "warmup", "ets_min_interval", "ets", "executor", "quantum",
-      "lease", "buffer_cap", "overload", "shards", "mode", "violations"},
+      "lease", "buffer_cap", "overload", "violations"},
      /*unique=*/true},
     {"batch", false, {"size"}, /*unique=*/true},
     {"trace", false, {"path", "capacity"}, /*unique=*/true},
@@ -92,18 +93,21 @@ Status ParseFeed(const Statement& s, FeedSpec* feed) {
     }
   }
   int64_t seed = 1;
-  DSMS_RETURN_IF_ERROR(s.GetInt("seed", 1, false, &seed));
+  DSMS_RETURN_IF_ERROR(
+      s.GetInt("seed", 1, false, INT64_MIN, INT64_MAX, &seed));
   feed->seed = static_cast<uint64_t>(seed);
 
   auto payload = s.args.find("payload");
   if (payload != s.args.end() && payload->second == "randint") {
     feed->payload = FeedSpec::Payload::kRandInt;
-    DSMS_RETURN_IF_ERROR(s.GetInt("lo", 0, false, &feed->randint_lo));
-    DSMS_RETURN_IF_ERROR(s.GetInt("hi", 100, false, &feed->randint_hi));
+    DSMS_RETURN_IF_ERROR(s.GetInt("lo", 0, false, INT64_MIN, INT64_MAX,
+                                  &feed->randint_lo));
+    DSMS_RETURN_IF_ERROR(s.GetInt("hi", 100, false, INT64_MIN, INT64_MAX,
+                                  &feed->randint_hi));
     int64_t fields = 1;
-    DSMS_RETURN_IF_ERROR(s.GetInt("fields", 1, false, &fields));
+    DSMS_RETURN_IF_ERROR(s.GetInt("fields", 1, false, 1, INT_MAX, &fields));
     feed->payload_fields = static_cast<int>(fields);
-    if (feed->randint_lo > feed->randint_hi || feed->payload_fields < 1) {
+    if (feed->randint_lo > feed->randint_hi) {
       return InvalidArgumentError(
           StrFormat("line %d: bad randint payload spec", s.line));
     }
@@ -131,11 +135,8 @@ Status ParseFault(const Statement& s, FaultTargetSpec* fault) {
   DSMS_RETURN_IF_ERROR(s.GetDuration("duration", fault->spec.duration, false,
                                      &fault->spec.duration));
   int64_t factor = fault->spec.burst_factor;
-  DSMS_RETURN_IF_ERROR(s.GetInt("factor", factor, false, &factor));
-  if (factor < 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: factor must be >= 1", s.line));
-  }
+  DSMS_RETURN_IF_ERROR(
+      s.GetInt("factor", factor, false, 1, INT_MAX, &factor));
   fault->spec.burst_factor = static_cast<int>(factor);
   DSMS_RETURN_IF_ERROR(s.GetDouble("prob", fault->spec.probability,
                                    false, &fault->spec.probability));
@@ -148,7 +149,8 @@ Status ParseFault(const Statement& s, FaultTargetSpec* fault) {
         StrFormat("line %d: period must be positive", s.line));
   }
   int64_t seed = static_cast<int64_t>(fault->spec.seed);
-  DSMS_RETURN_IF_ERROR(s.GetInt("seed", seed, false, &seed));
+  DSMS_RETURN_IF_ERROR(
+      s.GetInt("seed", seed, false, INT64_MIN, INT64_MAX, &seed));
   fault->spec.seed = static_cast<uint64_t>(seed);
   return OkStatus();
 }
@@ -184,11 +186,7 @@ Status ParseRun(const Statement& s, RunSpec* run) {
     }
   }
   int64_t quantum = 8;
-  DSMS_RETURN_IF_ERROR(s.GetInt("quantum", 8, false, &quantum));
-  if (quantum < 1) {
-    return InvalidArgumentError(StrFormat("line %d: quantum must be >= 1",
-                                          s.line));
-  }
+  DSMS_RETURN_IF_ERROR(s.GetInt("quantum", 8, false, 1, INT_MAX, &quantum));
   run->quantum = static_cast<int>(quantum);
   DSMS_RETURN_IF_ERROR(s.GetDuration("lease", 0, false, &run->lease));
   if (run->lease < 0) {
@@ -196,11 +194,8 @@ Status ParseRun(const Statement& s, RunSpec* run) {
         StrFormat("line %d: lease must be >= 0", s.line));
   }
   int64_t buffer_cap = 0;
-  DSMS_RETURN_IF_ERROR(s.GetInt("buffer_cap", 0, false, &buffer_cap));
-  if (buffer_cap < 0) {
-    return InvalidArgumentError(
-        StrFormat("line %d: buffer_cap must be >= 0", s.line));
-  }
+  DSMS_RETURN_IF_ERROR(
+      s.GetInt("buffer_cap", 0, false, 0, INT64_MAX, &buffer_cap));
   run->buffer_cap = static_cast<size_t>(buffer_cap);
   auto overload = s.args.find("overload");
   if (overload != s.args.end()) {
@@ -214,31 +209,6 @@ Status ParseRun(const Statement& s, RunSpec* run) {
       return InvalidArgumentError(StrFormat(
           "line %d: bad overload= '%s' (expected grow|block|shed)", s.line,
           overload->second.c_str()));
-    }
-  }
-  int64_t shards = 1;
-  DSMS_RETURN_IF_ERROR(s.GetInt("shards", 1, false, &shards));
-  if (shards < 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: shards must be >= 1", s.line));
-  }
-  run->shards = static_cast<int>(shards);
-  if (run->shards > 1 && run->executor != ExecutorKind::kDfs) {
-    return InvalidArgumentError(StrFormat(
-        "line %d: shards=%d requires executor=dfs (only the DFS strategy "
-        "shards)",
-        s.line, run->shards));
-  }
-  auto mode = s.args.find("mode");
-  if (mode != s.args.end()) {
-    if (mode->second == "deterministic") {
-      run->shard_mode = ShardMode::kDeterministic;
-    } else if (mode->second == "parallel") {
-      run->shard_mode = ShardMode::kParallel;
-    } else {
-      return InvalidArgumentError(StrFormat(
-          "line %d: bad mode= '%s' (expected deterministic|parallel)", s.line,
-          mode->second.c_str()));
     }
   }
   auto violations = s.args.find("violations");
@@ -260,11 +230,7 @@ Status ParseRun(const Statement& s, RunSpec* run) {
 
 Status ParseBatch(const Statement& s, RunSpec* run) {
   int64_t size = 0;
-  DSMS_RETURN_IF_ERROR(s.GetInt("size", 0, false, &size));
-  if (size < 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: missing or non-positive size=", s.line));
-  }
+  DSMS_RETURN_IF_ERROR(s.GetInt("size", 0, true, 1, INT64_MAX, &size));
   run->batch = static_cast<size_t>(size);
   return OkStatus();
 }
@@ -276,11 +242,8 @@ Status ParseTrace(const Statement& s, TraceSpec* trace) {
   }
   trace->path = path->second;
   int64_t capacity = static_cast<int64_t>(trace->capacity);
-  DSMS_RETURN_IF_ERROR(s.GetInt("capacity", capacity, false, &capacity));
-  if (capacity < 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: capacity must be >= 1", s.line));
-  }
+  DSMS_RETURN_IF_ERROR(
+      s.GetInt("capacity", capacity, false, 1, INT64_MAX, &capacity));
   trace->capacity = static_cast<size_t>(capacity);
   return OkStatus();
 }
@@ -308,19 +271,12 @@ Status ParseWal(const Statement& s, RecoverySpec* recovery) {
   }
   int64_t sync_interval =
       static_cast<int64_t>(recovery->sync_interval_bytes);
-  DSMS_RETURN_IF_ERROR(
-      s.GetInt("sync_interval_bytes", sync_interval, false, &sync_interval));
-  if (sync_interval < 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: sync_interval_bytes must be >= 1", s.line));
-  }
+  DSMS_RETURN_IF_ERROR(s.GetInt("sync_interval_bytes", sync_interval, false,
+                                1, INT64_MAX, &sync_interval));
   recovery->sync_interval_bytes = static_cast<uint64_t>(sync_interval);
   int64_t segment = static_cast<int64_t>(recovery->segment_bytes);
-  DSMS_RETURN_IF_ERROR(s.GetInt("segment_bytes", segment, false, &segment));
-  if (segment < 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: segment_bytes must be >= 1", s.line));
-  }
+  DSMS_RETURN_IF_ERROR(
+      s.GetInt("segment_bytes", segment, false, 1, INT64_MAX, &segment));
   recovery->segment_bytes = static_cast<uint64_t>(segment);
   return OkStatus();
 }
@@ -334,11 +290,7 @@ Status ParseCheckpoint(const Statement& s, RecoverySpec* recovery) {
         StrFormat("line %d: missing or non-positive horizon=", s.line));
   }
   int64_t keep = recovery->keep;
-  DSMS_RETURN_IF_ERROR(s.GetInt("keep", keep, false, &keep));
-  if (keep < 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: keep must be >= 1", s.line));
-  }
+  DSMS_RETURN_IF_ERROR(s.GetInt("keep", keep, false, 1, INT_MAX, &keep));
   recovery->keep = static_cast<int>(keep);
   return OkStatus();
 }
@@ -422,21 +374,15 @@ Status ParseNetFault(const Statement& s, NetFaultSpec* fault) {
   }
   fault->at = at;
   int64_t seed = static_cast<int64_t>(fault->seed);
-  DSMS_RETURN_IF_ERROR(s.GetInt("seed", seed, false, &seed));
+  DSMS_RETURN_IF_ERROR(
+      s.GetInt("seed", seed, false, INT64_MIN, INT64_MAX, &seed));
   fault->seed = static_cast<uint64_t>(seed);
   int64_t count = fault->count;
-  DSMS_RETURN_IF_ERROR(s.GetInt("count", count, false, &count));
-  if (count < 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: count must be >= 1", s.line));
-  }
+  DSMS_RETURN_IF_ERROR(s.GetInt("count", count, false, 1, INT_MAX, &count));
   fault->count = static_cast<int>(count);
   int64_t chunk = static_cast<int64_t>(fault->chunk);
-  DSMS_RETURN_IF_ERROR(s.GetInt("chunk", chunk, false, &chunk));
-  if (chunk < 0) {
-    return InvalidArgumentError(
-        StrFormat("line %d: chunk must be non-negative", s.line));
-  }
+  DSMS_RETURN_IF_ERROR(
+      s.GetInt("chunk", chunk, false, 0, INT64_MAX, &chunk));
   fault->chunk = static_cast<size_t>(chunk);
   DSMS_RETURN_IF_ERROR(s.GetDuration("gap", fault->gap, false, &fault->gap));
   if (fault->gap < 0) {
@@ -444,18 +390,11 @@ Status ParseNetFault(const Statement& s, NetFaultSpec* fault) {
         StrFormat("line %d: gap must be non-negative", s.line));
   }
   int64_t bytes = static_cast<int64_t>(fault->bytes);
-  DSMS_RETURN_IF_ERROR(s.GetInt("bytes", bytes, false, &bytes));
-  if (bytes < 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: bytes must be >= 1", s.line));
-  }
+  DSMS_RETURN_IF_ERROR(
+      s.GetInt("bytes", bytes, false, 1, INT64_MAX, &bytes));
   fault->bytes = static_cast<size_t>(bytes);
   int64_t stale = fault->stale;
-  DSMS_RETURN_IF_ERROR(s.GetInt("stale", stale, false, &stale));
-  if (stale < 0) {
-    return InvalidArgumentError(
-        StrFormat("line %d: stale must be non-negative", s.line));
-  }
+  DSMS_RETURN_IF_ERROR(s.GetInt("stale", stale, false, 0, INT_MAX, &stale));
   fault->stale = static_cast<int>(stale);
   return OkStatus();
 }
@@ -635,39 +574,23 @@ ExecConfig ExecConfigForRun(const RunSpec& run) {
   config.ets.min_interval = run.ets_min_interval;
   config.lease.duration = run.lease;
   config.batch_size = run.batch;
-  config.shards = run.shards;
-  config.shard_mode = run.shard_mode;
   return config;
 }
 
-Result<std::unique_ptr<Executor>> MakeExecutor(QueryGraph* graph,
-                                               VirtualClock* clock,
-                                               const ExecConfig& config,
-                                               ExecutorKind kind,
-                                               int quantum) {
-  // Only the DFS strategy shards: its schedule is what the deterministic
-  // shard mode replicates.
-  if (config.shards > 1 && kind != ExecutorKind::kDfs) {
-    return InvalidArgumentError(StrFormat(
-        "shards=%d requires executor=dfs (only the DFS strategy shards)",
-        config.shards));
-  }
+std::unique_ptr<Executor> MakeExecutor(QueryGraph* graph, VirtualClock* clock,
+                                       const ExecConfig& config,
+                                       ExecutorKind kind, int quantum) {
   switch (kind) {
     case ExecutorKind::kDfs:
-      if (config.shards > 1) {
-        return std::unique_ptr<Executor>(
-            std::make_unique<ShardedExecutor>(graph, clock, config));
-      }
-      return std::unique_ptr<Executor>(
-          std::make_unique<DfsExecutor>(graph, clock, config));
+      return std::make_unique<DfsExecutor>(graph, clock, config);
     case ExecutorKind::kRoundRobin:
-      return std::unique_ptr<Executor>(std::make_unique<RoundRobinExecutor>(
-          graph, clock, config, quantum));
+      return std::make_unique<RoundRobinExecutor>(graph, clock, config,
+                                                  quantum);
     case ExecutorKind::kGreedyMemory:
-      return std::unique_ptr<Executor>(
-          std::make_unique<GreedyMemoryExecutor>(graph, clock, config));
+      return std::make_unique<GreedyMemoryExecutor>(graph, clock, config);
   }
-  return InternalError("unreachable executor kind");
+  DSMS_CHECK(false);  // Unreachable: every ExecutorKind is handled above.
+  return nullptr;
 }
 
 StorageConfig StorageConfigForSpec(const StorageSpec& storage,
@@ -719,11 +642,6 @@ ExperimentReport CollectExperimentReport(const QueryGraph& graph,
   report.dropped_late = validator.dropped();
   report.buffer_order_violations = validator.violations();
   report.max_buffer_hwm = graph.MaxBufferHighWaterMark();
-  if (auto* sharded = dynamic_cast<const ShardedExecutor*>(&executor)) {
-    report.shards_used = static_cast<uint64_t>(sharded->num_shards());
-    report.shard_hops = sharded->shard_hops();
-    report.shard_epochs = sharded->epochs();
-  }
   if (graph.state_store() != nullptr) {
     report.storage = graph.state_store()->stats();
   }
@@ -754,12 +672,11 @@ Result<ExperimentReport> RunExperiment(Experiment* experiment) {
     DSMS_RETURN_IF_ERROR(graph->ConfigureStateStore(
         StorageConfigForSpec(experiment->storage, experiment->run.overload)));
   }
-  Result<std::unique_ptr<Executor>> executor =
+  std::unique_ptr<Executor> executor =
       MakeExecutor(graph, &clock, config, experiment->run.executor,
                    experiment->run.quantum);
-  if (!executor.ok()) return executor.status();
 
-  Simulation sim(graph, executor->get(), &clock);
+  Simulation sim(graph, executor.get(), &clock);
   if (tracer != nullptr) sim.AttachTracer(tracer.get());
   sim.set_violation_policy(experiment->run.violations);
   for (const FeedSpec& feed : experiment->feeds) {
@@ -791,7 +708,7 @@ Result<ExperimentReport> RunExperiment(Experiment* experiment) {
   sim.Run(experiment->run.horizon, experiment->run.warmup);
 
   ExperimentReport report =
-      CollectExperimentReport(*graph, **executor, clock.now(),
+      CollectExperimentReport(*graph, *executor, clock.now(),
                               sim.queue_tracker(), sim.order_validator());
   report.fault_events = sim.fault_events();
 
@@ -827,9 +744,6 @@ void ExperimentReport::PublishTo(MetricsRegistry* registry) const {
   registry->SetCounter("experiment.buffer_order_violations",
                        buffer_order_violations);
   registry->SetCounter("experiment.max_buffer_hwm", max_buffer_hwm);
-  registry->SetGauge("exec.shard.shards", static_cast<double>(shards_used));
-  registry->SetCounter("exec.shard.hops", shard_hops);
-  registry->SetCounter("exec.shard.epochs", shard_epochs);
   storage.PublishTo(registry, "storage");
   exec.PublishTo(registry, "exec");
 }

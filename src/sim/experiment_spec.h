@@ -112,11 +112,6 @@ struct RunSpec {
   ViolationPolicy violations = ViolationPolicy::kCount;
   /// Columnar batch size (`batch size=N` statement); 0 = scalar execution.
   size_t batch = 0;
-  /// Worker shards (`run shards=N`, DFS only); 1 = classic single-shard
-  /// execution. `mode=deterministic|parallel` picks the shard discipline
-  /// (see ShardMode; deterministic is byte-identical to shards=1).
-  int shards = 1;
-  ShardMode shard_mode = ShardMode::kDeterministic;
 };
 
 /// Spillable state store configuration (`state` statement; see
@@ -228,10 +223,6 @@ struct ExperimentReport {
   uint64_t dropped_late = 0;
   uint64_t buffer_order_violations = 0;
   uint64_t max_buffer_hwm = 0;
-  /// Sharded execution (run shards=N > 1; all zero otherwise).
-  uint64_t shards_used = 0;
-  uint64_t shard_hops = 0;
-  uint64_t shard_epochs = 0;
   /// State-store activity (zeros when no `state` statement configured one).
   StorageStats storage;
   ExecStats exec;
@@ -248,15 +239,14 @@ struct ExperimentReport {
 };
 
 /// The executor configuration of a run: ETS mode and throttle, lease, batch
-/// size, shards and shard mode. Every driver of an experiment starts from
-/// it; callers add the tracer and may override shard_mode.
+/// size. Every driver of an experiment starts from it; callers add the
+/// tracer.
 ExecConfig ExecConfigForRun(const RunSpec& run);
 
-/// The one executor factory: DFS (a ShardedExecutor when config.shards > 1),
-/// round-robin with `quantum`, or greedy-memory, over `graph` and `clock`
-/// (neither owned; both must outlive the executor). Only the DFS strategy
-/// shards; any other kind with config.shards > 1 is InvalidArgument.
-Result<std::unique_ptr<Executor>> MakeExecutor(
+/// The one executor factory: DFS, round-robin with `quantum`, or
+/// greedy-memory, over `graph` and `clock` (neither owned; both must outlive
+/// the executor).
+std::unique_ptr<Executor> MakeExecutor(
     QueryGraph* graph, VirtualClock* clock, const ExecConfig& config,
     ExecutorKind kind = ExecutorKind::kDfs, int quantum = 8);
 
@@ -270,8 +260,8 @@ RecoveryOptions RecoveryOptionsForSpec(const RecoverySpec& recovery);
 
 /// Reads every engine-side report field after a run: sinks, peak queue,
 /// ETS and lease counts, degradation, shedding, order-policy counters,
-/// buffer high-water mark, shard counters, storage and executor stats, and
-/// the operator/robustness tables. `queues` and `validator` are the
+/// buffer high-water mark, storage and executor stats, and the
+/// operator/robustness tables. `queues` and `validator` are the
 /// caller's (Simulation or IngestServer); fault_events is filled by the
 /// caller too.
 ExperimentReport CollectExperimentReport(const QueryGraph& graph,

@@ -10,7 +10,6 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/strings.h"
-#include "exec/sharded_executor.h"
 #include "graph/graph_builder.h"
 #include "obs/metrics_registry.h"
 #include "obs/tracer.h"
@@ -295,9 +294,6 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   exec_config.ets.min_interval = config.ets_min_interval;
   exec_config.lease = config.lease;
   exec_config.batch_size = config.batch_size;
-  exec_config.shards = config.shards;
-  exec_config.shard_mode = config.shard_mode;
-  exec_config.shard_seed = config.seed;
 
   VirtualClock clock;
   std::unique_ptr<Tracer> tracer;
@@ -305,12 +301,9 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
     tracer = std::make_unique<Tracer>(&clock, config.trace_capacity);
     exec_config.tracer = tracer.get();
   }
-  // MakeExecutor refuses shards > 1 with a non-DFS executor: a config error.
-  Result<std::unique_ptr<Executor>> made =
+  std::unique_ptr<Executor> executor =
       MakeExecutor(graph.get(), &clock, exec_config, config.executor,
                    config.rr_quantum);
-  DSMS_CHECK_OK(made.status());
-  std::unique_ptr<Executor> executor = std::move(*made);
 
   // Self-check every delivery for timestamp-order violations; the paper's
   // operators are order-preserving by construction, so any violation is an
@@ -422,11 +415,6 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
         frontier.CountInState(SourceHealth::kHealthy);
     result.frontier_bound = frontier.CheckpointFrontier();
   }
-  if (auto* sharded = dynamic_cast<ShardedExecutor*>(executor.get())) {
-    result.shards_used = static_cast<uint64_t>(sharded->num_shards());
-    result.shard_hops = sharded->shard_hops();
-    result.shard_epochs = sharded->epochs();
-  }
   result.trace_hash = trace.hash();
   result.trace_events = trace.events();
   result.sink_digest = sink_digest->hash();
@@ -488,10 +476,6 @@ void ScenarioResult::PublishTo(MetricsRegistry* registry,
                      static_cast<double>(frontier_degraded_now));
   registry->SetGauge(prefix + ".frontier.bound",
                      static_cast<double>(frontier_bound));
-  registry->SetGauge(prefix + ".exec.shard.shards",
-                     static_cast<double>(shards_used));
-  registry->SetCounter(prefix + ".exec.shard.hops", shard_hops);
-  registry->SetCounter(prefix + ".exec.shard.epochs", shard_epochs);
   storage.PublishTo(registry, prefix + ".storage");
   exec.PublishTo(registry, prefix + ".exec");
 }

@@ -137,15 +137,6 @@ struct ScenarioConfig {
   /// What the per-arc OrderValidator does with order-violating tuples.
   ViolationPolicy violations = ViolationPolicy::kCount;
 
-  /// Worker shards for sharded multicore execution (ExecConfig::shards);
-  /// 1 (the default) keeps the classic single-shard executors. Only
-  /// ExecutorKind::kDfs shards. `shard_mode` picks deterministic cooperative
-  /// interleaving (byte-identical to shards=1) or free-running threads; the
-  /// per-shard Pcg32 streams are seeded from `seed` (ExecConfig::shard_seed),
-  /// so DSMS_TEST_SEED reproduces sharded runs too.
-  int shards = 1;
-  ShardMode shard_mode = ShardMode::kDeterministic;
-
   /// Spillable state store (storage/state_store.h): with a non-empty spill
   /// dir the graph gets a StateStore and window/join state beyond
   /// `state_mem_budget` hot bytes spills to block files there (budget 0 =
@@ -214,11 +205,6 @@ struct ScenarioResult {
   /// The tracker's checkpoint frontier at the end of the run (min promise
   /// over trusted sources; kMinTimestamp when nothing ever promised).
   Timestamp frontier_bound = kMinTimestamp;
-
-  // Sharded execution (config.shards > 1; all zero otherwise).
-  uint64_t shards_used = 0;   // worker shards the run executed on
-  uint64_t shard_hops = 0;    // shard-boundary crossings (exec.shard.hops)
-  uint64_t shard_epochs = 0;  // epoch barriers passed (exec.shard.epochs)
 
   /// Populated when config.record_trace: FNV-1a digest and event count of
   /// every buffer push/pop in the run (see ScenarioConfig::record_trace).

@@ -259,9 +259,9 @@ class StateTable {
 /// the store.
 ///
 /// Owned by the QueryGraph (declared before the operators so it outlives
-/// their tables). All entry points take one recursive mutex, so the
-/// parallel sharded executor can step bound operators concurrently; in
-/// deterministic and scalar modes the lock is uncontended.
+/// their tables). All entry points take one recursive mutex, so operators
+/// bound to one store may be stepped from more than one thread; every
+/// executor steps on one thread today, so the lock is uncontended.
 class StateStore {
  public:
   /// Most block files held open at once: 256, or a quarter of the soft
@@ -358,8 +358,8 @@ class StateStore {
   /// the policy kept the block hot. Fault windows and stall penalties are
   /// evaluated against `caller` — the table whose operator is actually
   /// stepping — not the victim: the victim's now_/pending_stall_ belong to
-  /// its own operator's step, which may be running concurrently on another
-  /// shard without the store lock.
+  /// its own operator's step, which must not be charged for another
+  /// operator's eviction.
   bool EvictBlock(StateTable* caller, StateTable* table,
                   StateTable::Block& block);
 

@@ -118,59 +118,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 1, 2)),
     ChaosName);
 
-// --- Sharded execution under faults ------------------------------------------
-
-/// The chaos contract at shards > 1: for every fault kind (including flap,
-/// whose die-and-revive cycles exercise frontier revival across shard
-/// boundaries), a deterministic sharded run must produce a sink byte-stream
-/// identical to the single-shard scalar oracle — the injected fault, the
-/// quarantine walk, and the shedding all land on the same tuples.
-class ChaosShardedTest
-    : public ::testing::TestWithParam<std::tuple<int /*kind*/,
-                                                 int /*shards*/>> {};
-
-TEST_P(ChaosShardedTest, DeterministicShardsMatchScalarOracle) {
-  auto [kind_index, shards] = GetParam();
-  const FaultKind kind = static_cast<FaultKind>(kind_index);
-  const uint64_t seed = test::TestSeedOr(42);
-  DSMS_TRACE_SEED(seed);
-
-  ScenarioConfig config = ChaosConfig(kind, /*executor=*/0, seed);
-  config.record_trace = true;
-  ScenarioResult oracle = RunScenario(config);
-
-  config.shards = shards;
-  ScenarioResult sharded = RunScenario(config);
-
-  EXPECT_EQ(sharded.sink_digest, oracle.sink_digest);
-  EXPECT_EQ(sharded.trace_hash, oracle.trace_hash);
-  EXPECT_EQ(sharded.trace_events, oracle.trace_events);
-  EXPECT_EQ(sharded.tuples_delivered, oracle.tuples_delivered);
-  EXPECT_EQ(sharded.order_violations, 0u);
-  EXPECT_EQ(sharded.fault_events, oracle.fault_events);
-  EXPECT_EQ(sharded.quarantined, oracle.quarantined);
-  EXPECT_EQ(sharded.shed_tuples, oracle.shed_tuples);
-  EXPECT_EQ(sharded.lease_expired_ets, oracle.lease_expired_ets);
-  EXPECT_EQ(sharded.degraded, oracle.degraded);
-  EXPECT_EQ(sharded.max_buffer_hwm, oracle.max_buffer_hwm);
-  EXPECT_EQ(sharded.shards_used, static_cast<uint64_t>(shards));
-}
-
-std::string ShardedChaosName(
-    const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-  static const char* kKinds[] = {"None",     "Stall",    "Death",
-                                 "Burst",    "Disorder", "Skew",
-                                 "DupPunct", "RegressPunct", "Flap"};
-  return std::string(kKinds[std::get<0>(info.param)]) + "Shards" +
-         std::to_string(std::get<1>(info.param));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllFaultsSharded, ChaosShardedTest,
-    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4, 5, 6, 7, 8),
-                       ::testing::Values(2, 4)),
-    ShardedChaosName);
-
 // --- Lease expiry ------------------------------------------------------------
 
 /// With ETS disabled entirely (scenario A), a stalled slow stream wedges the
@@ -416,26 +363,6 @@ TEST(ChaosDiskTest, SpillByteIdenticalToInMemoryWithFaultsOff) {
   EXPECT_EQ(b.sink_digest, a.sink_digest);
   EXPECT_EQ(b.tuples_delivered, a.tuples_delivered);
   EXPECT_EQ(b.order_violations, 0u);
-}
-
-/// Deterministic sharded execution with the state store active must still
-/// replicate the scalar schedule byte for byte, spilling and all.
-TEST(ChaosDiskTest, SpillingShardedRunMatchesScalarOracle) {
-  const uint64_t seed = test::TestSeedOr(42);
-  DSMS_TRACE_SEED(seed);
-
-  ScenarioConfig config = DiskChaosConfig(
-      FaultKind::kNone, /*spill=*/true, FreshSpillDir("sharded"), seed);
-  ScenarioResult oracle = RunScenario(config);
-
-  config.state_spill_dir = FreshSpillDir("sharded4");
-  config.shards = 4;
-  ScenarioResult sharded = RunScenario(config);
-
-  EXPECT_GT(oracle.storage.spills, 0u);
-  EXPECT_EQ(sharded.sink_digest, oracle.sink_digest);
-  EXPECT_EQ(sharded.tuples_delivered, oracle.tuples_delivered);
-  EXPECT_EQ(sharded.shards_used, 4u);
 }
 
 // --- Violation reporting -----------------------------------------------------

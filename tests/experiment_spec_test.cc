@@ -245,6 +245,8 @@ TEST(ExperimentSpecTest, ErrorUnknownKeyInEveryStatement) {
       {"heartbeat S period=1s phse=10ms", "heartbeat", "phse"},
       {"fault S kind=stall strat=1s", "fault", "strat"},
       {"run horizon=10s watchdog=5s", "run", "watchdog"},
+      {"run horizon=10s shards=2", "run", "shards"},
+      {"run horizon=10s mode=parallel", "run", "mode"},
       {"run horizon=10s leas=5s", "run", "leas"},
       {"batch size=4 rows=4", "batch", "rows"},
       {"trace path=/tmp/never-written.json cap=8", "trace", "cap"},

@@ -22,7 +22,6 @@
 
 #include "core/tuple.h"
 #include "exec/round_robin_executor.h"
-#include "exec/sharded_executor.h"
 #include "graph/query_graph.h"
 #include "loopback_harness.h"
 #include "net/feed_client.h"
@@ -75,8 +74,7 @@ std::string EquivalencePlanWith(const std::string& keys) {
 TEST(NetLoopbackTest, FrameDrivenReplayMatchesSimulationBitForBit) {
   for (const std::string& plan :
        {std::string(kEquivalencePlan),
-        EquivalencePlanWith("executor=round-robin quantum=4"),
-        EquivalencePlanWith("shards=2")}) {
+        EquivalencePlanWith("executor=round-robin quantum=4")}) {
     SCOPED_TRACE(plan);
     // Reference run: the discrete-event simulation.
     Result<Experiment> sim_exp = ParseExperiment(plan);
@@ -93,8 +91,6 @@ TEST(NetLoopbackTest, FrameDrivenReplayMatchesSimulationBitForBit) {
     ServerHarness harness(plan);
     EXPECT_EQ(dynamic_cast<RoundRobinExecutor*>(harness.executor) != nullptr,
               harness.experiment->run.executor == ExecutorKind::kRoundRobin);
-    EXPECT_EQ(dynamic_cast<ShardedExecutor*>(harness.executor) != nullptr,
-              harness.experiment->run.shards > 1);
     const std::vector<ScheduledFrame> schedule = test::BuildSchedule(plan);
     ASSERT_GT(schedule.size(), 0u);
 

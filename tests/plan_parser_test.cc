@@ -209,6 +209,57 @@ TEST(PlanParserTest, ErrorRepeatedKey) {
   EXPECT_EQ(experiment.status().message(), "line 3: repeated feed key 'seed'");
 }
 
+TEST(PlanParserTest, ErrorIntegerOutOfRange) {
+  // An integer key outside its range fails the parse. Before the range
+  // check, a negative field index parsed and aborted at the first probe,
+  // and a value above INT_MAX wrapped when cast to int (quantum=4294967296
+  // became 0). The statement sits on line 3 of an otherwise valid document.
+  const struct {
+    const char* statement;
+    const char* error;
+  } kCases[] = {
+      {"filter X in=A field=-1 op=lt value=1",
+       "line 3: field must be >= 0"},
+      {"join X in=A,B left_field=-1 right_field=0",
+       "line 3: left_field must be >= 0"},
+      {"join X in=A,B left_field=0 right_field=2147483648",
+       "line 3: right_field must be <= 2147483647"},
+      {"mjoin X in=A,B window=1s key=-1", "line 3: key must be >= 0"},
+      {"gaggregate X in=A fn=count key=-1 window=1s",
+       "line 3: key must be >= 0"},
+      {"gaggregate X in=A fn=sum key=0 field=-1 window=1s",
+       "line 3: field must be >= 0"},
+      {"aggregate X in=A fn=sum field=4294967296 window=1s",
+       "line 3: field must be <= 2147483647"},
+      {"project X in=A fields=0,2147483648",
+       "line 3: bad field index '2147483648'"},
+      {"run executor=round-robin quantum=4294967296",
+       "line 3: quantum must be <= 2147483647"},
+      {"run executor=round-robin quantum=0", "line 3: quantum must be >= 1"},
+      {"run buffer_cap=-1", "line 3: buffer_cap must be >= 0"},
+      {"feed A rate=5 payload=randint fields=4294967296",
+       "line 3: fields must be <= 2147483647"},
+      {"fault A kind=burst factor=4294967296",
+       "line 3: factor must be <= 2147483647"},
+      {"batch size=0", "line 3: size must be >= 1"},
+      {"checkpoint horizon=1s keep=4294967296",
+       "line 3: keep must be <= 2147483647"},
+      {"netfault kind=split count=4294967296",
+       "line 3: count must be <= 2147483647"},
+      {"netfault kind=split stale=4294967296",
+       "line 3: stale must be <= 2147483647"},
+  };
+  for (const auto& c : kCases) {
+    auto experiment = ParseExperiment(std::string("stream A\nstream B\n") +
+                                          c.statement +
+                                          "\nunion U in=A,B\nsink O in=U\n",
+                                      /*require_feeds=*/false);
+    EXPECT_FALSE(experiment.ok()) << c.statement;
+    if (experiment.ok()) continue;
+    EXPECT_EQ(experiment.status().message(), c.error);
+  }
+}
+
 TEST(PlanParserTest, ErrorUnknownKeyInEveryStatement) {
   // A misspelled key fails the parse in every statement type, instead of
   // silently leaving its knob at the default (`windw=2s` would run a 1 s

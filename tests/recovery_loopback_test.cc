@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-#include "exec/sharded_executor.h"
 #include "frontier/frontier_tracker.h"
 #include "graph/query_graph.h"
 #include "loopback_harness.h"
@@ -253,121 +252,6 @@ TEST(RecoveryLoopbackTest, KillMidRunWithBatchingRecoversByteIdentical) {
   // Crash + recover + resume with batching produced the same bytes as the
   // uninterrupted batched run.
   EXPECT_EQ(ReadFile(dir + "/sink-OUT.out"), reference);
-}
-
-// The sharded plan: identical to kPlan except the engine runs on 4 worker
-// shards (deterministic mode — the served engine always runs it). S1's chain and S2's chain land on shards by
-// stream-id hash; the union's second input crosses a shard boundary when
-// they differ.
-constexpr char kShardedPlan[] = R"(
-stream A ts=internal
-stream B ts=external skew=40ms
-filter F in=A selectivity=0.8 seed=5
-union U in=F,B
-sink OUT in=U
-feed A process=poisson rate=50 seed=21
-feed B process=poisson rate=30 seed=22
-heartbeat B period=250ms
-run horizon=2s ets=on-demand shards=4
-wal dir=@WAL@ sync=every_frame
-checkpoint horizon=250ms
-)";
-
-/// Kill-9 + recover at shards=4: the per-shard executor blobs (cursor,
-/// epoch/hop counters, per-shard step counts) ride the checkpoint, the WAL
-/// tail replays through the sharded engine, and the recovered output is
-/// byte-identical — both to the uninterrupted sharded run and to the
-/// single-shard runs of the scalar test above (deterministic sharding does
-/// not change one output byte).
-TEST(RecoveryLoopbackTest, KillMidRunAtFourShardsRecoversByteIdentical) {
-  const std::vector<ScheduledFrame> schedule = BuildSchedule(kShardedPlan);
-  ASSERT_GT(schedule.size(), 0u);
-
-  // Reference: the sharded plan served to completion with no interruption.
-  const std::string ref_dir = FreshDir("sharded_reference");
-  {
-    RecoveryHarness harness(kShardedPlan, ref_dir);
-    ASSERT_EQ(harness.experiment->run.shards, 4);
-    ASSERT_NE(dynamic_cast<ShardedExecutor*>(harness.executor),
-              nullptr);
-    harness.Serve();
-    FeedClientOptions copts;
-    copts.port = harness.server->port();
-    FeedClient client(copts);
-    ASSERT_TRUE(client.Connect().ok());
-    Result<uint64_t> sent = client.Send(schedule);
-    ASSERT_TRUE(sent.ok());
-    EXPECT_EQ(*sent, schedule.size());
-    client.Close();
-    ASSERT_TRUE(harness.Join().ok());
-    ASSERT_TRUE(harness.recovery->FlushSinks().ok());
-  }
-  const std::string reference = ReadFile(ref_dir + "/sink-OUT.out");
-  ASSERT_FALSE(reference.empty());
-
-  // Crash run: the sharded server aborts at t=1s mid-stream.
-  const std::string dir = FreshDir("sharded_crash");
-  uint64_t durable_at_crash = 0;
-  {
-    RecoveryHarness harness(kShardedPlan, dir, /*crash_at=*/1 * kSecond);
-    harness.Serve();
-    FeedClientOptions copts;
-    copts.port = harness.server->port();
-    FeedClient client(copts);
-    ASSERT_TRUE(client.Connect().ok());
-    Result<uint64_t> sent = client.Send(schedule);
-    ASSERT_TRUE(sent.ok());
-    client.Close();
-    Status run = harness.Join();
-    ASSERT_EQ(run.code(), StatusCode::kAborted) << run.ToString();
-    for (const auto& [stream, seq] : harness.recovery->durable_seqs()) {
-      durable_at_crash += seq;
-    }
-    ASSERT_GT(durable_at_crash, 0u);
-    ASSERT_LT(durable_at_crash, schedule.size());
-  }
-
-  // Recovery run: the sharded executor restores its per-shard blobs from
-  // the checkpoint (same shard count, same mode — the Import contract),
-  // replays the WAL tail, and the resuming client sends only what was lost.
-  {
-    RecoveryHarness harness(kShardedPlan, dir);
-    ASSERT_TRUE(harness.recovery->recovered());
-    harness.Serve();
-
-    FeedClientOptions copts;
-    copts.port = harness.server->port();
-    copts.resume = true;
-    FeedClient client(copts);
-    ASSERT_TRUE(client.Connect().ok());
-    ASSERT_TRUE(client.Handshake().ok());
-    Result<uint64_t> sent = client.Send(schedule);
-    ASSERT_TRUE(sent.ok());
-    EXPECT_EQ(*sent, schedule.size() - durable_at_crash);
-    client.Close();
-    ASSERT_TRUE(harness.Join().ok());
-    ASSERT_TRUE(harness.recovery->FlushSinks().ok());
-    EXPECT_EQ(harness.server->resume_rejects(), 0u);
-  }
-
-  EXPECT_EQ(ReadFile(dir + "/sink-OUT.out"), reference);
-
-  // Deterministic sharding is schedule-identical to scalar DFS: the sharded
-  // reference bytes equal what the same plan produces at shards=1.
-  const std::string scalar_dir = FreshDir("sharded_scalar_oracle");
-  {
-    RecoveryHarness harness(kPlan, scalar_dir);
-    harness.Serve();
-    FeedClientOptions copts;
-    copts.port = harness.server->port();
-    FeedClient client(copts);
-    ASSERT_TRUE(client.Connect().ok());
-    ASSERT_TRUE(client.Send(BuildSchedule(kPlan)).ok());
-    client.Close();
-    ASSERT_TRUE(harness.Join().ok());
-    ASSERT_TRUE(harness.recovery->FlushSinks().ok());
-  }
-  EXPECT_EQ(reference, ReadFile(scalar_dir + "/sink-OUT.out"));
 }
 
 // The quarantine plan: same shape, but with the frontier lease armed and

@@ -430,36 +430,6 @@ constexpr GoldenRow kBatchRows[] = {
      3, 2, 0.0, 0, 119, 119, 0, 0},
 };
 
-/// Deterministic sharded DFS (on-demand ETS): per-shard ready trackers
-/// combine into the single-shard first-candidate choice. Row index is
-/// shards_index * 3 + shape.
-constexpr GoldenRow kShardedRows[] = {
-    {"Shards2Union", 58586, 0xe61c4cc0453bf98a, 0x61c58607b0aa01c0,
-     {17717, 11576, 5788, 17709, 29262, 5788, 0, 6096, 12198, 0, 0, 0, 0},
-     5276, 0.08125530705079606, 0.175,
-     3, 2, 0.0026046, 5788, 5788, 0, 0, 0},
-    {"Shards2Join", 59914, 0x57158f47e603542a, 0x89a7e5fbac127794,
-     {13207, 16750, 5788, 12535, 29261, 5788, 0, 6097, 12202, 0, 0, 0, 0},
-     1132, 0.6912455830388693, 2.931,
-     116, 115, 0.0026046, 5788, 5788, 5174, 0, 0},
-    {"Shards2Aggregate", 13234, 0x59704342d7e5518a, 0xcc28ef1f606cc15c,
-     {6260, 357, 0, 12443, 18880, 119, 0, 6129, 12381, 0, 0, 0, 0},
-     110, 18.82023636363636, 65.782,
-     3, 2, 0.0, 0, 119, 119, 0, 0},
-    {"Shards4Union", 58586, 0xe61c4cc0453bf98a, 0x61c58607b0aa01c0,
-     {17717, 11576, 5788, 17709, 29262, 5788, 0, 6096, 12198, 0, 0, 0, 0},
-     5276, 0.08125530705079606, 0.175,
-     3, 2, 0.0026046, 5788, 5788, 0, 0, 0},
-    {"Shards4Join", 59914, 0x57158f47e603542a, 0x89a7e5fbac127794,
-     {13207, 16750, 5788, 12535, 29261, 5788, 0, 6097, 12202, 0, 0, 0, 0},
-     1132, 0.6912455830388693, 2.931,
-     116, 115, 0.0026046, 5788, 5788, 5174, 0, 0},
-    {"Shards4Aggregate", 13234, 0x59704342d7e5518a, 0xcc28ef1f606cc15c,
-     {6260, 357, 0, 12443, 18880, 119, 0, 6129, 12381, 0, 0, 0, 0},
-     110, 18.82023636363636, 65.782,
-     3, 2, 0.0, 0, 119, 119, 0, 0},
-};
-
 using SweepParam = std::tuple<int, int, int>;
 
 class TraceEquivalenceSweep : public ::testing::TestWithParam<SweepParam> {};
@@ -574,97 +544,6 @@ TEST(TraceEquivalenceTest, BatchModeKeepsSchedulerEquivalence) {
         ExpectGolden(config, golden);
       }
     }
-  }
-}
-
-// --- Sharded execution -------------------------------------------------------
-
-/// Deterministic sharded execution (ExecConfig::shards > 1 with
-/// ShardMode::kDeterministic) must replicate the single-shard DFS schedule
-/// byte for byte: same buffer-event digest, same sink digest, identical
-/// executor accounting. Only the shard bookkeeping (shards_used, hops,
-/// epochs) is allowed to differ from the scalar run.
-TEST(TraceEquivalenceTest, DeterministicShardsMatchSingleShardOracle) {
-  for (int kind : {0, 2, 3}) {  // NoEts, OnDemand, Latent
-    for (int shape = 0; shape < 3; ++shape) {
-      ScenarioConfig base = ShortConfig(static_cast<ScenarioKind>(kind));
-      base.shape = static_cast<QueryShape>(shape);
-      base.record_trace = true;
-      ScenarioResult oracle = RunScenario(base);
-      ASSERT_GT(oracle.trace_events, 0u);
-
-      for (int shards : {2, 4}) {
-        ScenarioConfig config = base;
-        config.shards = shards;
-        ScenarioResult result = RunScenario(config);
-        const std::string label = "kind=" + std::to_string(kind) +
-                                  " shape=" + std::to_string(shape) +
-                                  " shards=" + std::to_string(shards);
-        EXPECT_EQ(result.trace_events, oracle.trace_events) << label;
-        EXPECT_EQ(result.trace_hash, oracle.trace_hash) << label;
-        EXPECT_EQ(result.sink_digest, oracle.sink_digest) << label;
-        EXPECT_TRUE(result.exec == oracle.exec) << label;
-        EXPECT_EQ(result.tuples_delivered, oracle.tuples_delivered) << label;
-        EXPECT_DOUBLE_EQ(result.mean_latency_ms, oracle.mean_latency_ms)
-            << label;
-        EXPECT_EQ(result.peak_queue_total, oracle.peak_queue_total) << label;
-        EXPECT_EQ(result.order_violations, 0u) << label;
-        EXPECT_EQ(result.shards_used, static_cast<uint64_t>(shards)) << label;
-        EXPECT_GT(result.shard_epochs, 0u) << label;
-      }
-    }
-  }
-}
-
-TEST(TraceEquivalenceTest, ShardedSchedulerEquivalence) {
-  static const char* kShapes[] = {"Union", "Join", "Aggregate"};
-  const int kShards[] = {2, 4};
-  for (int s = 0; s < 2; ++s) {
-    for (int shape = 0; shape < 3; ++shape) {
-      const GoldenRow& golden = kShardedRows[s * 3 + shape];
-      ASSERT_EQ("Shards" + std::to_string(kShards[s]) + kShapes[shape],
-                golden.name);
-      ScenarioConfig config = ShortConfig(ScenarioKind::kOnDemandEts);
-      config.shape = static_cast<QueryShape>(shape);
-      config.shards = kShards[s];
-      ExpectGolden(config, golden);
-    }
-  }
-}
-
-/// Sharding composes with the harder single-shard regimes: external
-/// timestamps with skew, bursty arrivals, a wide fan-in, and the strict
-/// union without TSM registers all stay byte-identical at shards=4.
-TEST(TraceEquivalenceTest, ShardedMatchesOracleUnderHardRegimes) {
-  for (int variant = 0; variant < 4; ++variant) {
-    ScenarioConfig base = ShortConfig(ScenarioKind::kOnDemandEts);
-    base.record_trace = true;
-    switch (variant) {
-      case 0:
-        base.ts_kind = TimestampKind::kExternal;
-        base.skew_bound = 100 * kMillisecond;
-        break;
-      case 1:
-        base.arrivals = ArrivalKind::kBursty;
-        break;
-      case 2:
-        base.num_slow_streams = 3;
-        break;
-      case 3:
-        base.use_tsm_registers = false;
-        break;
-    }
-    ScenarioResult oracle = RunScenario(base);
-
-    ScenarioConfig config = base;
-    config.shards = 4;
-    ScenarioResult result = RunScenario(config);
-    const std::string label = "variant=" + std::to_string(variant);
-    EXPECT_EQ(result.trace_hash, oracle.trace_hash) << label;
-    EXPECT_EQ(result.trace_events, oracle.trace_events) << label;
-    EXPECT_EQ(result.sink_digest, oracle.sink_digest) << label;
-    EXPECT_TRUE(result.exec == oracle.exec) << label;
-    EXPECT_EQ(result.tuples_delivered, oracle.tuples_delivered) << label;
   }
 }
 

@@ -247,36 +247,5 @@ TEST(StreamBufferTest, RestoreSnapshotClampsHighWaterToOccupancy) {
   EXPECT_EQ(restored.high_water_mark(), 2u);
 }
 
-// Cross-shard diversion: an installed diverter intercepts Push before any
-// buffer state changes; DeliverDiverted later applies full bookkeeping.
-TEST(StreamBufferTest, DiverterInterceptsPushUntilDelivered) {
-  struct Capture : BufferDiverter {
-    std::vector<Tuple> taken;
-    bool accept = true;
-    bool Divert(StreamBuffer*, Tuple&& tuple) override {
-      if (!accept) return false;
-      taken.push_back(std::move(tuple));
-      return true;
-    }
-  } diverter;
-  StreamBuffer buffer("b");
-  buffer.set_diverter(&diverter);
-  EXPECT_TRUE(buffer.Push(Tuple::MakeData(1, {})));
-  EXPECT_EQ(buffer.size(), 0u);          // producer side: nothing landed
-  EXPECT_EQ(buffer.total_pushed(), 0u);  // no counter moved either
-  ASSERT_EQ(diverter.taken.size(), 1u);
-
-  buffer.DeliverDiverted(std::move(diverter.taken[0]));
-  EXPECT_EQ(buffer.size(), 1u);
-  EXPECT_EQ(buffer.total_pushed(), 1u);
-  EXPECT_EQ(buffer.Front().timestamp(), 1);
-
-  // A declining diverter leaves the push to complete locally, intact.
-  diverter.accept = false;
-  EXPECT_TRUE(buffer.Push(Tuple::MakeData(7, {Value(int64_t{42})})));
-  EXPECT_EQ(buffer.size(), 2u);
-  EXPECT_EQ(buffer.total_pushed(), 2u);
-}
-
 }  // namespace
 }  // namespace dsms
